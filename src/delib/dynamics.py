@@ -62,12 +62,6 @@ class CoalitionStructure:
     def __len__(self) -> int:
         return len(self.coalitions)
 
-    def member_union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.coalitions:
-            out |= c.members
-        return frozenset(out)
-
 
 def validate_structure(space: DeliberationSpace, structure: CoalitionStructure):
     """Exact partition of all agents; every member approves its proposal."""
@@ -187,19 +181,33 @@ def apply_transition(
     return CoalitionStructure(tuple(out))
 
 
+def _potential_term(space: DeliberationSpace, members) -> int:
+    """One coalition's share of the potential: 2^size - 1."""
+    w = coalition_weight(space, members)
+    if w.denominator != 1:
+        raise DynamicsError("the potential is defined for integer weights only")
+    return (1 << int(w)) - 1
+
+
 def potential(structure: CoalitionStructure, space: DeliberationSpace) -> int:
     """-(number of coalitions) + sum over coalitions of 2^size.
 
     Sizes are integer total weights; defined only when every weight is an
     integer, since the bound claims are about counts.
     """
-    total = -len(structure)
-    for c in structure.coalitions:
-        w = coalition_weight(space, c.members)
-        if w.denominator != 1:
-            raise DynamicsError("the potential is defined for integer weights only")
-        total += 1 << int(w)
-    return total
+    return sum(_potential_term(space, c.members) for c in structure.coalitions)
+
+
+def potential_change(space: DeliberationSpace, structure: CoalitionStructure, t: Transition) -> int:
+    """Potential after applying ``t`` to ``structure`` minus the potential before.
+
+    Only the coalitions ``t`` touches change, so this costs O(ell) terms
+    where :func:`potential` costs one per coalition.
+    """
+    gained = _potential_term(space, t.new_members)
+    gained += sum(_potential_term(space, rest) for _, rest in t.leftovers if rest)
+    lost = sum(_potential_term(space, structure.coalitions[j].members) for j in t.participants)
+    return gained - lost
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +453,7 @@ class GreedyFastScheduler(Scheduler):
         positions = sorted(
             {space.agents[i].position for i in agent_indices}, key=lambda p: p.sort_key()
         )
-        rows = [(tuple(p.data), ">", _ZERO) for p in positions]
+        rows = [(p.coords(), ">", _ZERO) for p in positions]
         x = solve_lp_feasible_strict(make_system(space.dim, rows))
         if x is None:
             return None
@@ -538,8 +546,9 @@ def run_deliberation(
     """Apply scheduler-chosen transitions until none remains.
 
     Every transition is re-validated before it is applied; a scheduler
-    producing an invalid one is a bug and fails hard.  On unit weights the
-    potential is recorded and, for k = 2, each step must raise it by at
+    producing an invalid one is a bug and fails hard.  On integer weights
+    the potential is computed once from scratch and then updated from each
+    step's :func:`potential_change`; for k = 2 each step must raise it by at
     least 1, which also enforces the 2^n step bound.  Very long runs can
     skip step recording; the trace then reports the count only.
     """
@@ -562,17 +571,18 @@ def run_deliberation(
             raise DynamicsError(f"scheduler produced an invalid transition: {reason}")
         sizes = tuple(len(structure.coalitions[j].members) for j in t.participants)
         phi_before = phi_current
+        if integer_weights:
+            phi_current = phi_before + potential_change(space, structure, t)
+            if k == 2 and phi_current - phi_before < 1:
+                raise DynamicsError("a 2-compromise must raise the potential; this is a bug")
         structure = apply_transition(space, structure, t)
-        phi_current = potential(structure, space) if integer_weights else None
-        if k == 2 and integer_weights:
-            assert phi_current - phi_before >= 1, "a 2-compromise must raise the potential"
         count += 1
         if record_steps:
             steps.append(TraceStep(t, sizes, phi_before, phi_current))
         if cap is not None and count > cap:
             raise DynamicsError("run exceeded the k^n transition bound; this is a bug")
-    if k == 2 and integer_weights:
-        assert count <= 2 ** space.n, "2-deliberations halt within 2^n transitions"
+    if k == 2 and integer_weights and count > 2 ** space.n:
+        raise DynamicsError("2-deliberations halt within 2^n transitions; this is a bug")
     terminal = scheduler.complete or len(structure) == 1
     return Trace(tuple(steps), terminal, scheduler.name, seed, structure, (), count)
 

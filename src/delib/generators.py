@@ -86,17 +86,14 @@ def gen_euc_slow(n: int) -> SlowFamilyInstance:
     by the proposal with 1/|S| on the coordinates of S."""
     if n < 1:
         raise GeneratorError("the Euclidean slow family needs n >= 1")
-    agents = tuple(
-        Agent(euclidean_point([_ONE if j == i else _ZERO for j in range(n)])) for i in range(n)
-    )
+    units = [(i, 1) for i in range(n)]  # (index, numerator) pairs shared by every point
+    agents = tuple(Agent(Point(Kind.EUCLIDEAN, n, (1, (units[i],)))) for i in range(n))
     space = DeliberationSpace(Kind.EUCLIDEAN, n, agents)
 
     def oracle(members: frozenset[int]) -> Point | None:
         if not members:
             return None
-        share = Fraction(1, len(members))
-        coords = tuple(share if i in members else _ZERO for i in range(n))
-        return Point(Kind.EUCLIDEAN, n, coords)
+        return Point(Kind.EUCLIDEAN, n, (len(members), tuple(units[i] for i in sorted(members))))
 
     return SlowFamilyInstance(space, oracle, "euc-slow", n)
 

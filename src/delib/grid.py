@@ -14,6 +14,8 @@ is recorded in the trace notes and excluded from the transition count.
 from __future__ import annotations
 
 import enum
+import itertools
+from bisect import bisect_left
 from fractions import Fraction
 
 from .dynamics import (
@@ -27,6 +29,7 @@ from .dynamics import (
     build_transition,
     is_successful,
     potential,
+    potential_change,
     singleton_structure,
     validate_structure,
     validate_transition,
@@ -137,29 +140,44 @@ def grid_converge(
     structure = CoalitionStructure(tuple(relabeled))
 
     steps: list[TraceStep] = []
+    phi = potential(structure, space) if integer_weights else None
 
-    def record(t: Transition, before: CoalitionStructure, after: CoalitionStructure):
-        phi_b = potential(before, space) if integer_weights else None
-        phi_a = potential(after, space) if integer_weights else None
+    def record(t: Transition, before: CoalitionStructure):
+        nonlocal phi
+        phi_b = phi
+        if integer_weights:
+            phi = phi_b + potential_change(space, before, t)
         sizes = tuple(len(before.coalitions[j].members) for j in t.participants)
-        steps.append(TraceStep(t, sizes, phi_b, phi_a))
+        steps.append(TraceStep(t, sizes, phi_b, phi))
 
-    # Merge phase: coalitions sharing a target join up (plain 2-compromises).
+    # Merge phase: coalitions sharing a target join up (plain 2-compromises),
+    # always the first two coalitions of the target that appears first.
+    # Coalitions carry increasing ids in structure order (a merged one is
+    # appended with a fresh id), so a coalition's index is its id's rank
+    # among the live ids and no merge rescans the structure.
+    live = list(range(len(structure)))
+    by_target: dict[Point, list[int]] = {}
+    for i, c in enumerate(structure.coalitions):
+        by_target.setdefault(c.proposal, []).append(i)
+    fresh_ids = itertools.count(len(structure))
     while True:
-        by_target: dict[Point, list[int]] = {}
-        for i, c in enumerate(structure.coalitions):
-            by_target.setdefault(c.proposal, []).append(i)
-        pair = next((ids for ids in by_target.values() if len(ids) >= 2), None)
-        if pair is None:
+        ready = [ids for ids in by_target.values() if len(ids) >= 2]
+        if not ready:
             break
-        i, j = pair[0], pair[1]
+        ids = min(ready, key=lambda group: group[0])
+        i, j = bisect_left(live, ids[0]), bisect_left(live, ids[1])
         t = build_transition(space, structure, (i, j), structure.coalitions[i].proposal)
         ok, reason = validate_transition(space, structure, t, k=2)
         if not ok:
             raise DynamicsError(f"merge rejected: {reason}")
-        after = apply_transition(space, structure, t)
-        record(t, structure, after)
-        structure = after
+        if any(rest for _, rest in t.leftovers):
+            raise DynamicsError("a relabelled coalition holds a member who does not approve its target")
+        record(t, structure)
+        structure = apply_transition(space, structure, t)
+        del live[j], live[i], ids[:2]
+        new_id = next(fresh_ids)
+        live.append(new_id)
+        ids.append(new_id)
 
     targets = canonical_support_targets(variant_of(space))
     target_scores = [(t, score(space, t)) for t in targets]
@@ -181,9 +199,8 @@ def grid_converge(
         ok, reason = validate_transition(space, structure, t, k=k_needed)
         if not ok:
             raise DynamicsError(f"final compromise rejected: {reason}")
-        after = apply_transition(space, structure, t)
-        record(t, structure, after)
-        structure = after
+        record(t, structure)
+        structure = apply_transition(space, structure, t)
 
     if not is_successful(space, structure, popular_score):
         raise DynamicsError("grid convergence failed to reach a successful structure")

@@ -57,7 +57,7 @@ def coords_document(p: Point):
     if p.kind is Kind.HYPERCUBE:
         return list(p.coords())
     if p.kind is Kind.EUCLIDEAN:
-        return [str(c) for c in p.data]
+        return [str(c) for c in p.coords()]
     return list(p.data)
 
 

@@ -291,13 +291,14 @@ def best_strict_support(
     direction) or None, LP count)``; the subset is ``None`` when nothing
     heavier than ``stop_below`` is feasible.
     """
+    vectors = [p.coords() for p in positions]
     lp_count = 0
     for weight, kept in _subsets_by_weight_desc(weights):
         if not kept:
             continue
         if stop_below is not None and weight <= stop_below:
             return None, lp_count
-        rows = [(tuple(positions[i].data), ">", _ZERO) for i in kept]
+        rows = [(vectors[i], ">", _ZERO) for i in kept]
         lp_count += 1
         x = solve_lp_feasible_strict(make_system(positions[0].dim, rows))
         if x is not None:
@@ -312,7 +313,7 @@ def proposal_from_direction(positions: Sequence[Point], direction: Sequence[Frac
     every position with a strictly positive inner product approves eps*x.
     """
     sqnorm = sum(c * c for c in direction)
-    inners = [sum(v * c for v, c in zip(p.data, direction)) for p in positions]
+    inners = [sum(v * c for v, c in zip(p.coords(), direction)) for p in positions]
     m = min(i for i in inners if i > 0)
     eps = m / sqnorm
     return euclidean_point(tuple(eps * c for c in direction))
@@ -323,12 +324,14 @@ def solve_euc_perfect(space: DeliberationSpace) -> Point | None:
     if space.kind is not Kind.EUCLIDEAN:
         raise ValueError("Euclidean solver called on a non-Euclidean space")
     positions = [pos for pos, _ in distinct_positions(space)]
-    rows = [(tuple(p.data), ">", _ZERO) for p in positions]
+    rows = [(p.coords(), ">", _ZERO) for p in positions]
     x = solve_lp_feasible_strict(make_system(space.dim, rows))
     if x is None:
         return None
     proposal = proposal_from_direction(positions, x)
-    assert all(approval_test(space, proposal)(a) for a in space.agents)
+    test = approval_test(space, proposal)
+    if not all(test(a) for a in space.agents):
+        raise ValueError("the strictly feasible direction lost an agent's approval")
     return proposal
 
 
@@ -362,20 +365,20 @@ def solve_euc_cells(space: DeliberationSpace) -> SolverReport:
         raise ValueError("Euclidean solver called on a non-Euclidean space")
     grouped = distinct_positions(space)
     positions = [pos for pos, _ in grouped]
+    vectors = [pos.coords() for pos in positions]
     weights = [w for _, w in grouped]
     d = space.dim
     lp_count = 0
     # Each entry: (plus flags tuple, witness direction tuple).
     patterns: list[tuple[tuple[bool, ...], tuple[Fraction, ...]]] = [((), (_ZERO,) * d)]
-    for idx, pos in enumerate(positions):
+    for v in vectors:
         extended: list[tuple[tuple[bool, ...], tuple[Fraction, ...]]] = []
-        v = tuple(pos.data)
         for flags, witness in patterns:
             val = sum(a * b for a, b in zip(v, witness))
             free_plus = val > 0
             extended.append((flags + (free_plus,), witness))
             rows = [
-                (tuple(positions[j].data), ">" if f else "<=", _ZERO)
+                (vectors[j], ">" if f else "<=", _ZERO)
                 for j, f in enumerate(flags)
             ]
             rows.append((v, "<=" if free_plus else ">", _ZERO))

@@ -2,14 +2,28 @@
 
 Three space kinds are supported.  Hypercube points are packed bit masks
 (coordinate ``i`` lives at bit ``d - 1 - i`` so that integer order equals
-lexicographic order on coordinate tuples).  Euclidean points are tuples of
-exact rationals and all comparisons use the squared norm, which is
-order-equivalent to the norm itself.  Grid points are integer pairs under
-the l1 distance.
+lexicographic order on coordinate tuples).  Grid points are integer pairs
+under the l1 distance.
+
+A Euclidean point ``N / q`` is stored in one canonical exact form: a
+denominator ``q >= 1`` and a sorted tuple of ``(index, numerator)`` pairs
+holding the nonzero integer numerators, with ``q`` and the numerators
+coprime.  Equality and hashing use this form, so ``2/4`` and ``1/2`` make
+the same point, and a point with few nonzero coordinates stays small in any
+dimension.  The dense tuple of Fractions is a derived view
+(:meth:`Point.coords`) for the places that need a full vector: LP rows,
+instance files, printing and the lexicographic sort key.  Distances between
+Euclidean points are squared, which is order-equivalent to the norm.
 
 The status quo is always the origin.  An agent approves a proposal when it
 is strictly closer to the agent than the origin is; every comparison is
-exact, there is no tolerance anywhere.
+exact, there is no tolerance anywhere.  For an agent ``V = U / r`` and a
+Euclidean proposal ``P = N / q`` that reads ``|P|^2 < 2 <V, P>``, and after
+multiplying by ``r q^2`` the approval kernel tests, in integers only,
+
+    r |N|^2 < 2 q <U, N>
+
+where the inner product runs over the agent's nonzero coordinates.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -45,12 +60,42 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+_ZERO = Fraction(0)
+
+
+def _canonical_euclidean(dim: int, data) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Reduce ``(q, pairs)`` to the canonical form described in the module docstring."""
+    try:
+        q, pairs = data
+        pairs = sorted(pair for pair in pairs if pair[1])
+    except (TypeError, ValueError, IndexError) as exc:
+        raise SpaceError("Euclidean point data is (denominator, ((index, numerator), ...))") from exc
+    if type(q) is not int or q < 1:
+        raise SpaceError("the denominator must be a positive integer")
+    g, last = q, -1
+    for pair in pairs:
+        if type(pair) is not tuple or len(pair) != 2:
+            raise SpaceError("each coordinate is an (index, numerator) tuple")
+        i, c = pair
+        if type(i) is not int or type(c) is not int:
+            raise SpaceError("indices and numerators must be integers")
+        if not last < i < dim:
+            raise SpaceError(f"coordinate index {i} repeated or out of range")
+        last = i
+        g = gcd(g, c)
+    if g > 1:
+        return q // g, tuple((i, c // g) for i, c in pairs)
+    return q, tuple(pairs)
+
+
 @dataclass(frozen=True)
 class Point:
     """A location in one of the three space kinds.
 
-    ``data`` is an ``int`` bit mask for hypercube points and a tuple of
-    coordinates otherwise (Fractions for Euclidean, ints for grid).
+    ``data`` is an ``int`` bit mask for hypercube points, the canonical
+    ``(q, ((index, numerator), ...))`` form for Euclidean points (any
+    ``(q, pairs)`` given is reduced to it), and an integer pair for grid
+    points.
     """
 
     kind: Kind
@@ -64,9 +109,7 @@ class Point:
             if not isinstance(self.data, int) or not 0 <= self.data < (1 << self.dim):
                 raise SpaceError("hypercube point must be a mask in [0, 2^d)")
         elif self.kind is Kind.EUCLIDEAN:
-            object.__setattr__(self, "data", tuple(self.data))
-            if len(self.data) != self.dim:
-                raise SpaceError("coordinate count must equal the dimension")
+            object.__setattr__(self, "data", _canonical_euclidean(self.dim, self.data))
         else:
             object.__setattr__(self, "data", tuple(self.data))
             if self.dim != 2 or len(self.data) != 2:
@@ -81,21 +124,29 @@ class Point:
         return self.data
 
     def coords(self) -> tuple:
-        """Coordinates as a tuple, whatever the internal representation."""
+        """Coordinates as a dense tuple (Fractions for Euclidean points)."""
         if self.kind is Kind.HYPERCUBE:
             return tuple((self.data >> (self.dim - 1 - i)) & 1 for i in range(self.dim))
-        return tuple(self.data)
+        if self.kind is Kind.EUCLIDEAN:
+            q, pairs = self.data
+            dense = [_ZERO] * self.dim
+            for i, c in pairs:
+                dense[i] = Fraction(c, q)
+            return tuple(dense)
+        return self.data
 
     def is_origin(self) -> bool:
         if self.kind is Kind.HYPERCUBE:
             return self.data == 0
-        return not any(self.data)  # Fraction truthiness is a fast int test
+        if self.kind is Kind.EUCLIDEAN:
+            return not self.data[1]
+        return not any(self.data)
 
     def sort_key(self):
         """Key realising lexicographic order on coordinates."""
         if self.kind is Kind.HYPERCUBE:
             return self.data
-        return tuple(self.data)
+        return self.coords()
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords()) + ")"
@@ -128,8 +179,11 @@ def hypercube_point_from_set(members: Iterable[int], dim: int) -> Point:
 
 
 def euclidean_point(coords: Sequence) -> Point:
-    vec = tuple(_as_fraction(c) for c in coords)
-    return Point(Kind.EUCLIDEAN, len(vec), vec)
+    """Euclidean point from a dense sequence of exact rationals."""
+    vec = [_as_fraction(c) for c in coords]
+    q = lcm(1, *(c.denominator for c in vec))
+    pairs = tuple((i, c.numerator * (q // c.denominator)) for i, c in enumerate(vec) if c)
+    return Point(Kind.EUCLIDEAN, len(vec), (q, pairs))
 
 
 def grid_point(x: int, y: int) -> Point:
@@ -140,7 +194,7 @@ def origin(kind: Kind, dim: int) -> Point:
     if kind is Kind.HYPERCUBE:
         return Point(kind, dim, 0)
     if kind is Kind.EUCLIDEAN:
-        return Point(kind, dim, (Fraction(0),) * dim)
+        return Point(kind, dim, (1, ()))
     return Point(kind, 2, (0, 0))
 
 
@@ -159,15 +213,13 @@ def distance(a: Point, b: Point) -> Fraction | int:
     if a.kind is Kind.HYPERCUBE:
         return (a.data ^ b.data).bit_count()
     if a.kind is Kind.EUCLIDEAN:
-        return sum((x - y) ** 2 for x, y in zip(a.data, b.data))
+        # A/qa - B/qb = (qb A - qa B) / (qa qb)
+        (qa, pa), (qb, pb) = a.data, b.data
+        diff = {i: c * qb for i, c in pa}
+        for i, c in pb:
+            diff[i] = diff.get(i, 0) - c * qa
+        return Fraction(sum(v * v for v in diff.values()), (qa * qb) ** 2)
     return abs(a.data[0] - b.data[0]) + abs(a.data[1] - b.data[1])
-
-
-def dot(a: Point, b: Point) -> Fraction:
-    if a.kind is not Kind.EUCLIDEAN or b.kind is not Kind.EUCLIDEAN:
-        raise KindMismatch("inner products are defined for Euclidean points only")
-    _check_compatible(a, b)
-    return sum(x * y for x, y in zip(a.data, b.data))
 
 
 @dataclass(frozen=True)
@@ -190,13 +242,9 @@ class Agent:
         if p.kind is Kind.HYPERCUBE:
             return p.data.bit_count()
         if p.kind is Kind.EUCLIDEAN:
-            return sum(c * c for c in p.data if c)
+            q, pairs = p.data
+            return Fraction(sum(c * c for _, c in pairs), q * q)
         return abs(p.data[0]) + abs(p.data[1])
-
-    @cached_property
-    def nonzero_coords(self) -> tuple[tuple[int, Fraction], ...]:
-        """Sparse (index, value) view of a Euclidean position."""
-        return tuple((i, c) for i, c in enumerate(self.position.data) if c != 0)
 
 
 @dataclass(frozen=True)
@@ -247,44 +295,42 @@ class DeliberationSpace:
             raise SpaceError("proposal outside the non-negative quadrant")
 
 
-def approves(agent: Agent, proposal: Point, space: DeliberationSpace) -> bool:
-    """Exact strict-distance approval: dist(v, p) < dist(v, origin)."""
-    space.validate_proposal(proposal)
-    return _approves_unchecked(agent, proposal)
-
-
-def _approves_unchecked(agent: Agent, proposal: Point) -> bool:
-    p = agent.position
-    if p.kind is Kind.HYPERCUBE:
-        # |X| < 2 |V cap X| in set notation.
-        return proposal.data.bit_count() < 2 * (p.data & proposal.data).bit_count()
-    if p.kind is Kind.EUCLIDEAN:
-        # ||p||^2 < 2 <v, p>, evaluated sparsely over the agent's support.
-        sqnorm = sum(c * c for c in proposal.data if c)
-        inner = sum(v * proposal.data[i] for i, v in agent.nonzero_coords)
-        return sqnorm < 2 * inner
-    return distance(p, proposal) < agent.origin_distance
-
-
 class _ApprovalTest:
-    """Approval of one fixed proposal, with per-proposal work precomputed."""
+    """The approval kernel: exact strict-distance approval of one fixed
+    proposal, dist(v, p) < dist(v, origin), with per-proposal work done once."""
 
     def __init__(self, space: DeliberationSpace, proposal: Point):
         space.validate_proposal(proposal)
         self.proposal = proposal
         self._kind = space.kind
         if space.kind is Kind.EUCLIDEAN:
-            self._sqnorm = sum(c * c for c in proposal.data if c)
+            q, pairs = proposal.data
+            self._twice_q = 2 * q
+            self._numerators = dict(pairs)
+            self._sqnorm = sum(c * c for _, c in pairs)
+        elif space.kind is Kind.HYPERCUBE:
+            self._size = proposal.data.bit_count()
 
     def __call__(self, agent: Agent) -> bool:
-        p = self.proposal
-        if self._kind is Kind.HYPERCUBE:
-            return p.data.bit_count() < 2 * (agent.position.data & p.data).bit_count()
         if self._kind is Kind.EUCLIDEAN:
-            data = p.data
-            inner = sum(v * data[i] for i, v in agent.nonzero_coords)
-            return self._sqnorm < 2 * inner
-        return distance(agent.position, p) < agent.origin_distance
+            # r |N|^2 < 2 q <U, N> for V = U / r and P = N / q.
+            r, support = agent.position.data
+            numerators = self._numerators
+            inner = 0
+            for i, u in support:
+                if i in numerators:
+                    inner += u * numerators[i]
+            return r * self._sqnorm < self._twice_q * inner
+        if self._kind is Kind.HYPERCUBE:
+            # |X| < 2 |V cap X| in set notation.
+            return self._size < 2 * (agent.position.data & self.proposal.data).bit_count()
+        return distance(agent.position, self.proposal) < agent.origin_distance
+
+
+def approves(agent: Agent, proposal: Point, space: DeliberationSpace) -> bool:
+    """Exact strict-distance approval: dist(v, p) < dist(v, origin)."""
+    _check_compatible(agent.position, proposal)
+    return _ApprovalTest(space, proposal)(agent)
 
 
 def approval_test(space: DeliberationSpace, proposal: Point) -> _ApprovalTest:

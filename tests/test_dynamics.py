@@ -25,7 +25,9 @@ from delib.dynamics import (
     validate_structure,
     validate_transition,
 )
+from delib import dynamics
 from delib.generators import gen_euc_slow, gen_hyp_slow, gen_random
+from delib.grid import grid_converge
 from delib.solvers import solve_euc_subsets
 from delib.space import (
     Agent,
@@ -87,6 +89,52 @@ class TestPotential:
     def test_integer_weights_count_as_multiplicity(self):
         space = euc_space([[1], [2]], weights=[2, 1])
         assert potential(singleton_structure(space), space) == -2 + 4 + 2
+
+
+def assert_potentials_from_scratch(space, initial, trace):
+    """Replay the trace and compare each recorded potential with potential()."""
+    structure = initial
+    for step in trace.steps:
+        assert step.phi_before == potential(structure, space)
+        structure = apply_transition(space, structure, step.transition)
+        assert step.phi_after == potential(structure, space)
+    assert [c.members for c in structure.coalitions] == [c.members for c in trace.final.coalitions]
+
+
+class TestIncrementalPotential:
+    @pytest.mark.parametrize("kind,n,d", [("hypercube", 5, 4), ("euclidean", 6, 2), ("grid", 7, 2)])
+    def test_random_runs(self, kind, n, d):
+        steps = 0
+        for seed in range(4):
+            space = gen_random(kind, n, d, seed=seed)
+            initial = singleton_structure(space)
+            trace = run_deliberation(space, initial, RandomScheduler(), 2, seed=seed)
+            assert_potentials_from_scratch(space, initial, trace)
+            steps += len(trace.steps)
+        assert steps > 0
+
+    def test_adversarial_slow_run(self):
+        fam = gen_euc_slow(12)
+        initial = singleton_structure(fam.space)
+        trace = run_deliberation(fam.space, initial, AdversarialScheduler(fam.support_oracle), 2)
+        assert len(trace.steps) > 20
+        assert_potentials_from_scratch(fam.space, initial, trace)
+
+    @pytest.mark.parametrize("kind", ["grid", "grid_nonneg"])
+    def test_grid_convergence(self, kind):
+        space = gen_random(kind, 30, 2, seed=4, coord_range=(-4, 4))
+        initial = singleton_structure(space)
+        trace = grid_converge(space, initial)
+        assert len(trace.steps) > 5
+        assert_potentials_from_scratch(space, initial, trace)
+
+    def test_broken_potential_update_fails_the_run(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "potential_change", lambda space, structure, t: 0)
+        fam = gen_euc_slow(4)
+        with pytest.raises(DynamicsError, match="raise the potential"):
+            run_deliberation(
+                fam.space, singleton_structure(fam.space), AdversarialScheduler(fam.support_oracle), 2
+            )
 
 
 class TestTransitions:

@@ -60,7 +60,7 @@ def local_hyp_popular(space):
 
 def local_euc_popular_2d(space):
     """Angular sweep with symbolic perturbation; exact for d <= 2."""
-    pts = [(a.position.data, a.weight) for a in space.agents]
+    pts = [(a.position.coords(), a.weight) for a in space.agents]
     if space.dim == 1:
         best = Fraction(0)
         for direction in (Fraction(1), Fraction(-1)):
@@ -266,7 +266,7 @@ class TestEucProperties:
         space = euc_space([[1, 2], [-3, 1], [0, -2], [2, 2]])
         report = solve_euc_subsets(space)
         factor = Fraction(7, 5)
-        scaled = euc_space([[factor * c for c in a.position.data] for a in space.agents])
+        scaled = euc_space([[factor * c for c in a.position.coords()] for a in space.agents])
         assert solve_euc_subsets(scaled).best_score == report.best_score
 
     def test_monotone_in_agents(self):

@@ -11,6 +11,7 @@ from delib.space import (
     DeliberationSpace,
     Kind,
     KindMismatch,
+    Point,
     SpaceError,
     StatusQuoProposal,
     approval_test,
@@ -164,7 +165,7 @@ class TestSquaredOrderEquivalence:
     def test_squared_comparison_matches_norm(self, a, b, c):
         # independent route: high-precision decimal square roots
         def norm(p, q):
-            s = sum((x - y) ** 2 for x, y in zip(p.data, q.data))
+            s = sum((x - y) ** 2 for x, y in zip(p.coords(), q.coords()))
             return (Decimal(s.numerator) / Decimal(s.denominator)).sqrt()
 
         squared = distance(a, b) < distance(a, c)
@@ -197,3 +198,70 @@ def test_origin_helper():
 def test_point_from_set_roundtrip():
     p = hypercube_point_from_set([0, 3], 4)
     assert p.coords() == (1, 0, 0, 1)
+
+
+# Coordinates: zero, small signed rationals, and large numerators and
+# denominators.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10 ** 12), 10 ** 12), st.integers(1, 10 ** 12)),
+)
+
+
+def rational_vectors(dim):
+    return st.lists(rationals, min_size=dim, max_size=dim)
+
+
+def nonzero_vectors(dim):
+    return rational_vectors(dim).filter(any)
+
+
+class TestEuclideanRepresentation:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(nonzero_vectors(d), nonzero_vectors(d))))
+    def test_integer_kernel_matches_distance_definition(self, vectors):
+        v, p = vectors
+        # The definition in plain Fractions: dist(v, p)^2 < dist(v, origin)^2.
+        by_definition = sum((x - y) ** 2 for x, y in zip(v, p)) < sum(x * x for x in v)
+        agent = Agent(euclidean_point(v))
+        space = DeliberationSpace(Kind.EUCLIDEAN, len(v), (agent,))
+        proposal = euclidean_point(p)
+        assert approves(agent, proposal, space) == by_definition
+        assert approval_test(space, proposal)(agent) == by_definition
+        assert distance(agent.position, proposal) == sum((x - y) ** 2 for x, y in zip(v, p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(rational_vectors), st.integers(1, 30))
+    def test_equal_vectors_give_equal_points(self, v, scale):
+        dense = euclidean_point(v)
+        # The same vector as strings, and as unreduced numerators over a
+        # common denominator multiplied by ``scale``.
+        as_text = euclidean_point([str(c) for c in v])
+        q = scale
+        for c in v:
+            q *= c.denominator
+        unreduced = Point(Kind.EUCLIDEAN, len(v), (q, [(i, int(c * q)) for i, c in enumerate(v)]))
+        for other in (as_text, unreduced):
+            assert other == dense
+            assert hash(other) == hash(dense)
+        assert dense.coords() == tuple(v)
+        assert dense.is_origin() == (not any(v))
+
+    def test_half_equals_two_quarters(self):
+        half = euclidean_point([Fraction(1, 2), 0])
+        assert Point(Kind.EUCLIDEAN, 2, (4, ((0, 2),))) == half
+        assert half.data == (2, ((0, 1),))
+        assert half != euclidean_point([Fraction(1, 2), Fraction(1, 2)])
+
+    def test_malformed_data_rejected(self):
+        for data in ((0, ()), (2, ((0, Fraction(1, 2)),)), (1, ((2, 1),)), (1, ((0, 1), (0, 2))), (1, ([0, 1],)), (1, 2)):
+            with pytest.raises(SpaceError):
+                Point(Kind.EUCLIDEAN, 2, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(rational_vectors(d), min_size=1, max_size=8)))
+    def test_sort_key_is_lexicographic_on_dense_coordinates(self, vectors):
+        pts = [euclidean_point(v) for v in vectors]
+        by_key = [p.coords() for p in sorted(pts, key=lambda p: p.sort_key())]
+        assert by_key == sorted(tuple(v) for v in vectors)
