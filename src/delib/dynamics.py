@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import solvers
-from .linprog import make_system, solve_lp_feasible_strict
+from .linprog import solve_strict_rows
 from .solvers import DEFAULT_LIMITS, GuardExceeded, SolverLimits
 from .space import (
     DeliberationSpace,
@@ -277,12 +277,11 @@ def _best_candidate_for(
                 f"{len(positions)} distinct positions exceed the subset guard"
             )
         weights = [grouped[p] for p in positions]
-        found, lp_count = solvers.best_strict_support(positions, weights, stop_below=max_part)
+        found, work = solvers.best_strict_support(positions, weights, stop_below=max_part)
         if found is None:
-            return None, lp_count
+            return None, work
         kept, _, direction = found
         proposal = solvers.proposal_from_direction([positions[i] for i in kept], direction)
-        work = lp_count
     else:
         candidates = list(solvers.grid_targets(space.grid_nonneg))
         candidates += [structure.coalitions[j].proposal for j in subset]
@@ -453,8 +452,7 @@ class GreedyFastScheduler(Scheduler):
         positions = sorted(
             {space.agents[i].position for i in agent_indices}, key=lambda p: p.sort_key()
         )
-        rows = [(p.coords(), ">", _ZERO) for p in positions]
-        x = solve_lp_feasible_strict(make_system(space.dim, rows))
+        x, _ = solve_strict_rows(space.dim, [(">",) + p.data for p in positions])
         if x is None:
             return None
         return solvers.proposal_from_direction(positions, x)

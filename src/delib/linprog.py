@@ -12,17 +12,36 @@ by ``<a, x> >= c + delta``, clamp the free variables into the box
 ``-1 <= x_i <= 1`` (the callers' systems are homogeneous, so the box loses
 no solutions), and maximise ``delta``; the strict system is feasible
 exactly when the optimum is positive.
+
+Rows enter the core as integers: ``<N / q, x> REL b / q`` is
+``(REL, q, N)`` with ``N`` sparse ``(index, numerator)`` pairs, the
+canonical form of a Euclidean point (``Point.data`` is ``(q, N)``), and a
+strict row's margin coefficient is ``q``.  As gcd(q, N) = 1, ``q`` is the lcm
+of the coordinates' denominators, so this is the row the Fraction path
+builds for the same point.  Fraction systems
+(:func:`solve_lp_feasible_strict`) are scaled once, row by row, by the lcm
+of their denominators into the same form.
+
+When a homogeneous system of ``>`` and ``<=`` rows is strictly infeasible,
+the margin optimum is 0 and the final objective row's slack columns hold
+multipliers ``y >= 0`` with
+
+    sum over ``>`` rows of y_i N_i  -  sum over ``<=`` rows of y_i N_i  =  0
+
+and some ``y_i > 0`` on a ``>`` row.  By Motzkin's transposition theorem
+no ``x`` satisfies the rows it names, and neither does any system that
+contains them; :func:`solve_strict_rows` returns such a certificate only
+after checking it in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 RELATIONS = ("<=", ">=", "=", ">")
 
@@ -67,11 +86,7 @@ def make_system(variables: int, rows: Sequence[tuple[Sequence, str, object]]) ->
 
 
 def _normalise(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = den
-    for v in nums:
-        g = gcd(g, v)
-        if g == 1:
-            return nums, den
+    g = gcd(den, *nums)
     if g > 1:
         return [v // g for v in nums], den // g
     return nums, den
@@ -123,26 +138,56 @@ def _simplex_max(nums, dens, basis, ncols):
         _pivot(nums, dens, basis, best_row, col)
 
 
-def _scaled_row(coeffs: Sequence[Fraction], rhs: Fraction) -> list[int]:
-    den = rhs.denominator
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in coeffs] + [int(rhs * den)]
+def _max_margin(d: int, rows, rhs: Sequence[int] | None = None):
+    """Maximise the margin over integer rows ``(REL, q, N)`` with right-hand sides ``rhs``.
 
+    ``A z <= b`` holds the rows over ``z = (p, r, delta)`` with ``x = p - r``,
+    then the cap ``delta <= 1`` and the box rows.  Returns ``(x, y)``: the
+    witness if the optimum is positive, else None, and the objective row on
+    the rows' slack columns (None if phase 1 finds the rows infeasible).
+    """
+    n = 2 * d + 1
+    delta = 2 * d
+    A: list[list[int]] = []
+    b: list[int] = []
 
-def _solve_standard(A, b, c):
-    """max c.z  s.t.  A z <= b, z >= 0.  Returns (value, z) or None if infeasible."""
-    m, n = len(A), len(c)
+    def emit(sign, pairs, bi, margin=0):
+        row = [0] * n
+        for j, c in pairs:
+            row[j] = sign * c
+            row[d + j] = -sign * c
+        row[delta] = margin
+        A.append(row)
+        b.append(bi)
+
+    for k, (rel, q, pairs) in enumerate(rows):
+        bk = 0 if rhs is None else rhs[k]
+        if rel == "<=":
+            emit(1, pairs, bk)
+        elif rel == ">=":
+            emit(-1, pairs, -bk)
+        elif rel == "=":
+            emit(1, pairs, bk)
+            emit(-1, pairs, -bk)
+        else:  # strict: <N, x> >= b + q delta
+            emit(-1, pairs, -bk, margin=q)
+    # Cap the margin so the objective stays bounded even without strict rows;
+    # any positive optimum still certifies strict feasibility.
+    A.append([0] * delta + [1])
+    b.append(1)
+    for j in range(d):
+        emit(1, ((j, 1),), 1)
+        emit(-1, ((j, 1),), 1)
+
+    m = len(A)
     need_art = [i for i in range(m) if b[i] < 0]
     art_col = {i: n + m + k for k, i in enumerate(need_art)}
     ncols = n + m + len(need_art)
-
     nums: list[list[int]] = []
     dens: list[int] = []
     basis: list[int] = []
     for i in range(m):
-        scaled = _scaled_row(A[i], b[i])
-        row = scaled[:-1] + [0] * (m + len(need_art)) + [scaled[-1]]
+        row = A[i] + [0] * (m + len(need_art)) + [b[i]]
         row[n + i] = 1  # slack
         if i in art_col:
             row = [-v for v in row]
@@ -170,7 +215,7 @@ def _solve_standard(A, b, c):
         dens.append(obj_den)
         _simplex_max(nums, dens, basis, ncols)
         if nums[-1][-1] != 0:
-            return None
+            return None, None
         nums.pop()
         dens.pop()
         # Drive leftover artificials out of the basis (degenerate rows).
@@ -183,29 +228,54 @@ def _solve_standard(A, b, c):
             nums[r] = nums[r][: n + m] + [nums[r][-1]]
         ncols = n + m
 
-    # Phase 2: maximise the integer-scaled objective cden * c.
-    cden = 1
-    for f in c:
-        cden = cden * f.denominator // gcd(cden, f.denominator)
-    cnum = [int(f * cden) for f in c]
-    obj_num = [-v for v in cnum] + [0] * (ncols - n) + [0]
+    # Phase 2: maximise delta.
+    obj_num = [0] * (ncols + 1)
+    obj_num[delta] = -1
     obj_den = 1
-    for r in range(m):
-        if basis[r] < n and cnum[basis[r]] != 0:
-            prow, pden = nums[r], dens[r]
-            f = cnum[basis[r]]
-            obj_num = [a * pden + obj_den * f * p for a, p in zip(obj_num, prow)]
-            obj_num, obj_den = _normalise(obj_num, obj_den * pden)
+    if delta in basis:
+        r = basis.index(delta)
+        prow, pden = nums[r], dens[r]
+        obj_num = [a * pden + obj_den * p for a, p in zip(obj_num, prow)]
+        obj_num, obj_den = _normalise(obj_num, obj_den * pden)
     nums.append(obj_num)
     dens.append(obj_den)
     _simplex_max(nums, dens, basis, ncols)
 
+    y = nums[-1][n : n + m - 1 - 2 * d]
+    if nums[-1][-1] <= 0:
+        return None, y
     z = [_ZERO] * n
     for r in range(m):
         if basis[r] < n:
             z[basis[r]] = Fraction(nums[r][-1], dens[r])
-    value = Fraction(nums[-1][-1], dens[-1] * cden)
-    return value, z
+    return tuple(z[j] - z[d + j] for j in range(d)), y
+
+
+def solve_strict_rows(d: int, rows) -> tuple[tuple[Fraction, ...] | None, tuple[int, ...] | None]:
+    """Decide the homogeneous system ``<N / q, x> REL 0`` over integer rows.
+
+    ``rows`` holds ``(REL, q, N)`` with ``REL`` one of ``>`` and ``<=`` and
+    ``N`` sparse ``(index, numerator)`` pairs.  Returns ``(x, None)`` with a
+    rational ``x`` satisfying every row, strict rows strictly (the witness
+    the Fraction path returns for the same system), or ``(None, y)`` with
+    one multiplier per row that passed the check in the module docstring;
+    ``(None, None)`` if they did not.
+    """
+    x, y = _max_margin(d, rows)
+    if x is not None:
+        return x, None
+    total = [0] * d
+    strict = False
+    for (rel, _, pairs), v in zip(rows, y):
+        if v < 0 or rel not in (">", "<="):
+            return None, None
+        strict = strict or (v > 0 and rel == ">")
+        v = v if rel == ">" else -v
+        for j, c in pairs:
+            total[j] += v * c
+    if len(y) == len(rows) and strict and not any(total):
+        return None, tuple(y)
+    return None, None
 
 
 def solve_lp_feasible_strict(system: LinearSystem) -> tuple[Fraction, ...] | None:
@@ -215,57 +285,10 @@ def solve_lp_feasible_strict(system: LinearSystem) -> tuple[Fraction, ...] | Non
     systems (all right-hand sides zero); inhomogeneous callers must ensure a
     witness inside the unit box exists, since the box is always imposed.
     """
-    d = system.variables
-    # Unknowns: x = p - q with p, q >= 0, plus the margin delta >= 0.
-    n = 2 * d + 1
-    delta = 2 * d
-    A, b = [], []
-
-    def emit(coeffs, rhs, delta_coeff=_ZERO):
-        row = [_ZERO] * n
-        for j, cj in enumerate(coeffs):
-            row[j] = cj
-            row[d + j] = -cj
-        row[delta] = delta_coeff
-        A.append(row)
-        b.append(rhs)
-
+    rows, rhs = [], []
     for r in system.rows:
-        if r.relation == "<=":
-            emit(r.coeffs, r.rhs)
-        elif r.relation == ">=":
-            emit([-c for c in r.coeffs], -r.rhs)
-        elif r.relation == "=":
-            emit(r.coeffs, r.rhs)
-            emit([-c for c in r.coeffs], -r.rhs)
-        else:  # strict: <a, x> >= rhs + delta
-            emit([-c for c in r.coeffs], -r.rhs, delta_coeff=_ONE)
-    # Cap the margin so the objective stays bounded even without strict rows;
-    # any positive optimum still certifies strict feasibility.
-    A.append([_ZERO] * (n - 1) + [_ONE])
-    b.append(_ONE)
-    unit = [_ZERO] * d
-    for j in range(d):
-        unit[j] = _ONE
-        emit(unit, _ONE)
-        emit([-c for c in unit], _ONE)
-        unit[j] = _ZERO
+        q = lcm(r.rhs.denominator, *(c.denominator for c in r.coeffs))
+        rows.append((r.relation, q, [(j, int(c * q)) for j, c in enumerate(r.coeffs) if c]))
+        rhs.append(int(r.rhs * q))
+    return _max_margin(system.variables, rows, rhs)[0]
 
-    c = [_ZERO] * n
-    c[delta] = _ONE
-    res = _solve_standard(A, b, c)
-    if res is None:
-        return None
-    value, z = res
-    if value <= 0:
-        return None
-    return tuple(z[j] - z[d + j] for j in range(d))
-
-
-def strict_positive_direction(normals: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...] | None:
-    """A direction x with <v, x> > 0 for every v, or None."""
-    if not normals:
-        return None
-    d = len(normals[0])
-    rows = [(tuple(v), ">", _ZERO) for v in normals]
-    return solve_lp_feasible_strict(make_system(d, rows))

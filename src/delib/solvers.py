@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .linprog import make_system, solve_lp_feasible_strict
+from .linprog import solve_strict_rows
 from .space import (
     DeliberationSpace,
     Kind,
@@ -56,7 +57,6 @@ DEFAULT_LIMITS = SolverLimits()
 class Method(enum.Enum):
     HYP_BRUTE = "brute"
     HYP_TYPE_ILP = "ilp"
-    EUC_PERFECT_LP = "perfect-lp"
     EUC_SUBSET_LP = "subset-lp"
     EUC_CELLS = "cells"
     GRID_FOUR = "grid"
@@ -288,22 +288,32 @@ def best_strict_support(
     which is therefore the maximum.  Only one-sided conditions are imposed:
     extra approvers of the witness can only add weight, and the scan order
     makes the first hit exact anyway.  Returns ``((indices, weight,
-    direction) or None, LP count)``; the subset is ``None`` when nothing
-    heavier than ``stop_below`` is feasible.
+    direction) or None, work)``, where ``work`` counts the subsets decided;
+    the subset is ``None`` when nothing heavier than ``stop_below`` is
+    feasible.
+
+    Each infeasible LP yields a verified certificate whose support (the rows
+    with nonzero multipliers) is itself infeasible, so every later subset
+    containing a recorded support is decided without an LP.
     """
-    vectors = [p.coords() for p in positions]
-    lp_count = 0
+    rows = [(">",) + p.data for p in positions]
+    cores: list[int] = []  # certificate supports as bit masks over positions
+    work = 0
     for weight, kept in _subsets_by_weight_desc(weights):
         if not kept:
             continue
         if stop_below is not None and weight <= stop_below:
-            return None, lp_count
-        rows = [(vectors[i], ">", _ZERO) for i in kept]
-        lp_count += 1
-        x = solve_lp_feasible_strict(make_system(positions[0].dim, rows))
+            return None, work
+        work += 1
+        mask = sum(1 << i for i in kept)
+        if any(core & mask == core for core in cores):
+            continue
+        x, y = solve_strict_rows(positions[0].dim, [rows[i] for i in kept])
         if x is not None:
-            return (kept, weight, x), lp_count
-    return None, lp_count
+            return (kept, weight, x), work
+        if y is not None:
+            cores.append(sum(1 << i for i, yi in zip(kept, y) if yi))
+    return None, work
 
 
 def proposal_from_direction(positions: Sequence[Point], direction: Sequence[Fraction]) -> Point:
@@ -324,8 +334,7 @@ def solve_euc_perfect(space: DeliberationSpace) -> Point | None:
     if space.kind is not Kind.EUCLIDEAN:
         raise ValueError("Euclidean solver called on a non-Euclidean space")
     positions = [pos for pos, _ in distinct_positions(space)]
-    rows = [(p.coords(), ">", _ZERO) for p in positions]
-    x = solve_lp_feasible_strict(make_system(space.dim, rows))
+    x, _ = solve_strict_rows(space.dim, [(">",) + p.data for p in positions])
     if x is None:
         return None
     proposal = proposal_from_direction(positions, x)
@@ -346,10 +355,31 @@ def solve_euc_subsets(space: DeliberationSpace, limits: SolverLimits = DEFAULT_L
         )
     positions = [pos for pos, _ in grouped]
     weights = [w for _, w in grouped]
-    found, lp_count = best_strict_support(positions, weights)
+    found, work = best_strict_support(positions, weights)
     kept, _, direction = found
     proposal = proposal_from_direction([positions[i] for i in kept], direction)
-    return _report(space, proposal, Method.EUC_SUBSET_LP, lp_count)
+    return _report(space, proposal, Method.EUC_SUBSET_LP, work)
+
+
+def _cells_scan_cost(n: int, d: int) -> int:
+    """Estimated cost of the cells scan over ``n`` distinct positions in R^d.
+
+    Before position m + 1 the scan holds at most about 2 * sum_{k<d} C(m-1, k)
+    sign patterns, the cells of a central arrangement of m hyperplanes in
+    general position, and extending one solves an LP over m + 1 rows whose
+    tableau has about (m + 1)^2 entries.
+    """
+    return sum(
+        (2 * sum(math.comb(m - 1, k) for k in range(d)) if m else 1) * (m + 1) ** 2
+        for m in range(n)
+    )
+
+
+# The cells guard: the estimate at 32 positions in R^3.  On a 2-vCPU x86
+# machine, random instances at the largest accepted sizes took 9-10 s at 32
+# positions in R^3, 5.3-5.4 s at 59 in R^2 and 8-10 s at 212 in R^1; the
+# rejected 33 positions in R^3 took 10-12 s, and 40 took 25-29 s.
+_CELLS_SCAN_BUDGET = _cells_scan_cost(32, 3)
 
 
 def solve_euc_cells(space: DeliberationSpace) -> SolverReport:
@@ -359,44 +389,53 @@ def solve_euc_cells(space: DeliberationSpace) -> SolverReport:
     with signs collapsed to {positive, non-positive}; each pattern carries a
     witness direction, so one of the two extensions per pattern is free and
     the other costs one strict-feasibility LP.  The supported set of a
-    pattern is its strictly-positive coordinate set.
+    pattern is its strictly-positive coordinate set.  An infeasible
+    extension's certificate names signs on a few positions that no direction
+    achieves; later extensions with those signs are decided without an LP.
+    The work counts the extensions decided.
     """
     if space.kind is not Kind.EUCLIDEAN:
         raise ValueError("Euclidean solver called on a non-Euclidean space")
     grouped = distinct_positions(space)
-    positions = [pos for pos, _ in grouped]
-    vectors = [pos.coords() for pos in positions]
-    weights = [w for _, w in grouped]
     d = space.dim
-    lp_count = 0
-    # Each entry: (plus flags tuple, witness direction tuple).
-    patterns: list[tuple[tuple[bool, ...], tuple[Fraction, ...]]] = [((), (_ZERO,) * d)]
-    for v in vectors:
-        extended: list[tuple[tuple[bool, ...], tuple[Fraction, ...]]] = []
-        for flags, witness in patterns:
-            val = sum(a * b for a, b in zip(v, witness))
-            free_plus = val > 0
-            extended.append((flags + (free_plus,), witness))
-            rows = [
-                (vectors[j], ">" if f else "<=", _ZERO)
-                for j, f in enumerate(flags)
-            ]
-            rows.append((v, "<=" if free_plus else ">", _ZERO))
-            lp_count += 1
-            x = solve_lp_feasible_strict(make_system(d, rows))
+    if _cells_scan_cost(len(grouped), d) > _CELLS_SCAN_BUDGET:
+        raise GuardExceeded(f"{len(grouped)} distinct positions in R^{d} exceed the cells guard")
+    positions = [pos for pos, _ in grouped]
+    weights = [w for _, w in grouped]
+    work = 0
+    # Certificate supports: (positive, non-positive) position masks no direction achieves.
+    cores: list[tuple[int, int]] = []
+    # Each entry: (mask of the positive positions so far, witness direction).
+    patterns: list[tuple[int, tuple[Fraction, ...]]] = [(0, (_ZERO,) * d)]
+    for i, pos in enumerate(positions):
+        pairs, bit = pos.data[1], 1 << i
+        extended = []
+        for plus, witness in patterns:
+            if sum(c * witness[j] for j, c in pairs) > 0:
+                plus |= bit
+            extended.append((plus, witness))
+            work += 1
+            other = plus ^ bit
+            if any(cp & other == cp and not cn & other for cp, cn in cores):
+                continue
+            rows = [(">" if other >> j & 1 else "<=",) + positions[j].data for j in range(i + 1)]
+            x, y = solve_strict_rows(d, rows)
             if x is not None:
-                extended.append((flags + (not free_plus,), x))
+                extended.append((other, x))
+            elif y is not None:
+                support = sum(1 << j for j, yj in enumerate(y) if yj)
+                cores.append((support & other, support & ~other))
         patterns = extended
-    best_flags, best_witness, best_weight = None, None, _ZERO
-    for flags, witness in patterns:
-        w = sum((weights[i] for i, f in enumerate(flags) if f), _ZERO)
-        if best_flags is None or w > best_weight:
-            best_flags, best_witness, best_weight = flags, witness, w
-    supported = [positions[i] for i, f in enumerate(best_flags) if f]
+    best_plus, best_witness, best_weight = None, None, _ZERO
+    for plus, witness in patterns:
+        w = sum((wi for i, wi in enumerate(weights) if plus >> i & 1), _ZERO)
+        if best_plus is None or w > best_weight:
+            best_plus, best_witness, best_weight = plus, witness, w
+    supported = [p for i, p in enumerate(positions) if best_plus >> i & 1]
     if not supported:
         raise AssertionError("no supportable pattern found; spaces are never empty")
     proposal = proposal_from_direction(supported, best_witness)
-    return _report(space, proposal, Method.EUC_CELLS, lp_count)
+    return _report(space, proposal, Method.EUC_CELLS, work)
 
 
 # ---------------------------------------------------------------------------

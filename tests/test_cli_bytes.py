@@ -1,11 +1,14 @@
 """CLI output bytes on a fixed corpus, pinned by SHA-256.
 
-The digests pin generated instance files, trace CSVs and ``solve --json``
-reports, so a change to the internal point representation or to the
-dynamics' bookkeeping cannot alter what the command line writes.
+The digests pin generated instance files, trace CSVs, ``solve --json``
+reports and the ``verify --what reduction`` summary, so a change to the
+internal point representation, to the dynamics' bookkeeping or to the LP
+core and its pruning cannot alter what the command line writes.
 """
 
+import contextlib
 import hashlib
+import io
 
 from delib.cli import main
 
@@ -16,6 +19,23 @@ EXPECTED = {
     "euc-8x3-random.csv": "ce808b0c719c24da3c6d27991d91d29e6a3f389bdbe7238ae9c3345dcd9783a1",
     "euc-8x3-subset-lp.json": "c2dccc1ebf959bfee0b58553b522ec3d020e7ddbc63e1df897736992c0d85507",
     "euc-8x3-cells.json": "41893fc1c8c00422ecfd78aca46c3d9db407672658e9a80b633e3614be1ad1c1",
+}
+
+# Three-variable formulas in DIMACS form; both are satisfiable.
+FORMULAS = {
+    "sat2": "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n",
+    "sat3": "p cnf 3 3\n1 2 3 0\n-1 -2 -3 0\n1 -2 3 0\n",
+}
+
+EXPECTED_LP = {
+    "sat2-subset-lp.json": "e34b8b380701f0ebfdef83b0c0db7623c2c8268e299c556c442ccef7be0c7892",
+    "sat3-subset-lp.json": "274586d5244b7a11f3ecc58605eb7b55f5db9340d53317ee6ccb71222f582ae1",
+    "sat2-verify.txt": "7325cb054546097560483432d6274ddcdbd1a7f1a950b839ede92f62c43d12a5",
+    "euc-8x3-s5-subset-lp.json": "8433e3dd3afc06be2e9e4bc8a7cadfaba154c8a5e94fc4ee8a18c4be82f23930",
+    "euc-8x3-s5-cells.json": "403124b34152d329ba62fc318d8429eebfb6f19ed936f2b89da1261c378cda44",
+    "euc-8x3-s7-subset-lp.json": "95b5233f18c9f6057bb0afb946086e7e99eee484fb2ab4abd47102c5d9eba62b",
+    "euc-8x3-s7-cells.json": "791e4e6bf0609da3103664a81c586d99a2dd5735cb51f9aa463785471eea086d",
+    "euc-8x3-greedy-fast.csv": "09bdf4cc0d25a760043fbf943a44fc29175ebc6c266b9b7d2afbc3f8b6be0f44",
 }
 
 
@@ -36,7 +56,45 @@ def build_corpus(tmp) -> dict[str, bytes]:
     return {name: (tmp / name).read_bytes() for name in EXPECTED}
 
 
+def build_lp_corpus(tmp) -> dict[str, bytes]:
+    """The LP-heavy commands: reductions, more random instances, greedy-fast."""
+
+    def run(*argv):
+        code = main([str(a) for a in argv])
+        assert code == 0, argv
+
+    outputs = {}
+    for name, text in FORMULAS.items():
+        cnf, inst = tmp / f"{name}.cnf", tmp / f"{name}.json"
+        cnf.write_text(text)
+        run("reduce", "--from", "3sat", "--in", cnf, "--out", inst)
+        run("solve", "--space", inst, "--method", "subset-lp", "--json", tmp / f"{name}-subset-lp.json")
+        outputs[f"{name}-subset-lp.json"] = (tmp / f"{name}-subset-lp.json").read_bytes()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        run("verify", "--what", "reduction", "--in", f"{tmp / 'sat2.json'}.cert.json")
+    outputs["sat2-verify.txt"] = stdout.getvalue().encode()
+    for seed in (5, 7):
+        inst = tmp / f"euc-8x3-s{seed}.json"
+        run("generate", "--family", "random", "--kind", "euclidean", "--n", 8, "--d", 3, "--seed", seed, "--out", inst)
+        for method in ("subset-lp", "cells"):
+            out = tmp / f"euc-8x3-s{seed}-{method}.json"
+            run("solve", "--space", inst, "--method", method, "--json", out)
+            outputs[out.name] = out.read_bytes()
+    rand = tmp / "euc-8x3.json"
+    run("generate", "--family", "random", "--kind", "euclidean", "--n", 8, "--d", 3, "--seed", 3, "--out", rand)
+    run("simulate", "--space", rand, "--scheduler", "greedy-fast", "--trace", tmp / "euc-8x3-greedy-fast.csv")
+    outputs["euc-8x3-greedy-fast.csv"] = (tmp / "euc-8x3-greedy-fast.csv").read_bytes()
+    return outputs
+
+
+def _digests(outputs):
+    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+
+
 def test_cli_outputs_are_byte_identical(tmp_path):
-    outputs = build_corpus(tmp_path)
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
-    assert digests == EXPECTED
+    assert _digests(build_corpus(tmp_path)) == EXPECTED
+
+
+def test_lp_outputs_are_byte_identical(tmp_path):
+    assert _digests(build_lp_corpus(tmp_path)) == EXPECTED_LP

@@ -94,6 +94,30 @@ class TestCli:
         ) == 0
         assert run_cli("solve", "--space", str(path), "--method", "brute") == 3
 
+    def test_cells_guard_exit(self, tmp_path, capsys):
+        path = tmp_path / "axis.json"
+        for d, code in ((1, 0), (3, 3)):
+            # 33 distinct positions on the first axis: over the guard in R^3 only
+            agents = tuple(
+                Agent(euclidean_point([(k // 2 + 1) * (-1) ** k] + [0] * (d - 1))) for k in range(33)
+            )
+            instancefile.save(Instance(DeliberationSpace(Kind.EUCLIDEAN, d, agents)), str(path))
+            capsys.readouterr()
+            assert run_cli("solve", "--space", str(path), "--method", "cells") == code
+            assert run_cli("solve", "--space", str(path)) == code  # auto picks cells for d <= 3
+            assert run_cli("simulate", "--space", str(path), "--scheduler", "greedy-fast") == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: 33 distinct positions in R^3 exceed the cells guard\n" * 3
+
+    def test_greedy_fast_past_32_positions(self, tmp_path, capsys):
+        # Step (iii) of greedy-fast and the successful= line both solve with auto.
+        path = tmp_path / "euc.json"
+        instancefile.save(Instance(gen_random("euclidean", 40, 1, seed=1, coord_range=(-50, 50))), str(path))
+        capsys.readouterr()
+        assert run_cli("simulate", "--space", str(path), "--scheduler", "greedy-fast") == 0
+        assert capsys.readouterr().out.endswith("successful=yes\n")
+
     def test_simulate_schedulers(self, tmp_path, capsys):
         euc = tmp_path / "euc.json"
         run_cli("generate", "--family", "euc-slow", "--n", "4", "--out", str(euc))

@@ -2,22 +2,27 @@
 
 For planar homogeneous systems, strict feasibility has an independent exact
 answer via an angular sweep with symbolic perturbation; the LP must agree
-with it on random instances.
+with it on random instances.  The integer-row entry point must return either
+a witness or an infeasibility certificate that checks out in plain
+Fractions, and the same witness as the Fraction entry point.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from delib import linprog
 from delib.linprog import (
     LinearSystem,
     MalformedSystem,
     Row,
     make_system,
     solve_lp_feasible_strict,
-    strict_positive_direction,
+    solve_strict_rows,
 )
+from delib.space import euclidean_point
 
 
 def check_solution(system, x):
@@ -114,8 +119,8 @@ class TestAgainstPlanarSweep:
                 v = (rng.randint(-4, 4), rng.randint(-4, 4))
                 if v != (0, 0):
                     normals.append(v)
-            frac_normals = [(Fraction(a), Fraction(b)) for a, b in normals]
-            x = strict_positive_direction(frac_normals)
+            rows = [(">",) + euclidean_point(v).data for v in normals]
+            x, _ = solve_strict_rows(2, rows)
             expected = _sweep_feasible_2d(normals)
             assert (x is not None) == expected, (trial, normals)
             if x is not None:
@@ -145,3 +150,51 @@ def test_big_degenerate_system():
         rows.append(((0, 1), "<=", 1))
     x = solve_lp_feasible_strict(make_system(2, rows))
     assert x is not None and x[0] + x[1] > 0
+
+
+def homogeneous_systems():
+    """(d, [(relation, dense Fraction normal), ...]) with d <= 4; zero normals included."""
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    row = lambda d: st.tuples(st.sampled_from((">", "<=")), st.lists(coord, min_size=d, max_size=d))
+    return st.integers(1, 4).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(row(d), min_size=1, max_size=7))
+    )
+
+
+class TestIntegerRows:
+    @settings(max_examples=400, deadline=None)
+    @given(homogeneous_systems())
+    def test_witness_or_verified_certificate(self, system):
+        d, normals = system
+        rows = [(rel,) + euclidean_point(v).data for rel, v in normals]
+        x, y = solve_strict_rows(d, rows)
+        assert (x is None) != (y is None)
+        same = solve_lp_feasible_strict(make_system(d, [(v, rel, 0) for rel, v in normals]))
+        assert x == same
+        if x is not None:
+            for rel, v in normals:
+                value = sum(a * b for a, b in zip(v, x))
+                assert value > 0 if rel == ">" else value <= 0
+            return
+        # Motzkin: sum_> y_i q_i v_i - sum_<= y_i q_i v_i = 0, y >= 0, some strict y_i > 0.
+        assert len(y) == len(rows) and all(v >= 0 for v in y)
+        assert any(yi > 0 for yi, (rel, _) in zip(y, normals) if rel == ">")
+        total = [Fraction(0)] * d
+        for yi, (rel, q, _), (_, v) in zip(y, rows, normals):
+            sign = 1 if rel == ">" else -1
+            for j in range(d):
+                total[j] += sign * yi * q * v[j]
+        assert total == [0] * d
+
+    def test_canonical_point_is_the_scaled_row(self):
+        v = (Fraction(3, 4), Fraction(0), Fraction(-1, 6))
+        assert euclidean_point(v).data == (12, ((0, 9), (2, -2)))
+        rows = [(">",) + euclidean_point(v).data]
+        assert solve_strict_rows(3, rows)[0] == solve_lp_feasible_strict(make_system(3, [(v, ">", 0)]))
+
+    def test_unverified_multipliers_are_dropped(self, monkeypatch):
+        rows = [(">", 1, ((0, 1),)), (">", 1, ((0, -1),))]
+        assert solve_strict_rows(1, rows) == (None, (1, 1))
+        real = linprog._max_margin
+        monkeypatch.setattr(linprog, "_max_margin", lambda d, r: (real(d, r)[0], [1, 2]))
+        assert solve_strict_rows(1, rows) == (None, None)

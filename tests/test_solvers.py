@@ -11,10 +11,14 @@ from fractions import Fraction
 
 import pytest
 
-from delib.generators import gen_euc_slow, gen_hyp_slow, gen_random, reduce_is_to_hyp
+from delib import solvers
+from delib.generators import gen_euc_slow, gen_hyp_slow, gen_random, reduce_3sat_to_euc, reduce_is_to_hyp
+from delib.linprog import make_system, solve_lp_feasible_strict
 from delib.solvers import (
     GuardExceeded,
+    Method,
     SolverLimits,
+    best_strict_support,
     dimension_types,
     hyp_unanimous_proposal,
     proposal_from_type_counts,
@@ -33,6 +37,7 @@ from delib.space import (
     Kind,
     approval_test,
     approver_indices,
+    distinct_positions,
     euclidean_point,
     grid_point,
     hypercube_point,
@@ -250,6 +255,125 @@ class TestEucCells:
             s = solve_euc_subsets(space)
             assert c.best_score == s.best_score, trial
             assert c.best_score == local_euc_popular_2d(space), trial
+
+
+def unpruned_strict_support(positions, weights, stop_below=None):
+    """best_strict_support without certificates: one Fraction LP per subset."""
+    work = 0
+    for weight, kept in solvers._subsets_by_weight_desc(weights):
+        if not kept:
+            continue
+        if stop_below is not None and weight <= stop_below:
+            return None, work
+        work += 1
+        rows = [(positions[i].coords(), ">", 0) for i in kept]
+        x = solve_lp_feasible_strict(make_system(positions[0].dim, rows))
+        if x is not None:
+            return (kept, weight, x), work
+    return None, work
+
+
+def unpruned_cells(positions):
+    """solve_euc_cells' pattern scan without certificates: (final patterns, work)."""
+    vectors = [p.coords() for p in positions]
+    d = len(vectors[0])
+    work = 0
+    patterns = [((), (Fraction(0),) * d)]
+    for v in vectors:
+        extended = []
+        for flags, witness in patterns:
+            free_plus = sum(a * b for a, b in zip(v, witness)) > 0
+            extended.append((flags + (free_plus,), witness))
+            rows = [(vectors[j], ">" if f else "<=", 0) for j, f in enumerate(flags)]
+            rows.append((v, "<=" if free_plus else ">", 0))
+            work += 1
+            x = solve_lp_feasible_strict(make_system(d, rows))
+            if x is not None:
+                extended.append((flags + (not free_plus,), x))
+        patterns = extended
+    return patterns, work
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    real = solvers.solve_strict_rows
+    monkeypatch.setattr(solvers, "solve_strict_rows", lambda d, rows: calls.append(len(rows)) or real(d, rows))
+    return calls
+
+
+def _pruning_instances():
+    rng = random.Random(2024)
+    for _ in range(25):
+        n, d = rng.randint(2, 8), rng.randint(1, 3)
+        yield gen_random("euclidean", n, d, seed=rng.randrange(2 ** 30), coord_range=(-2, 2))
+
+
+class TestCertificatePruning:
+    def test_subset_scan_matches_unpruned_loop(self, monkeypatch):
+        calls = _count_lps(monkeypatch)
+        total_work = 0
+        for space in _pruning_instances():
+            grouped = distinct_positions(space)
+            positions, weights = [p for p, _ in grouped], [w for _, w in grouped]
+            for stop_below in (None, space.total_weight / 2):
+                expected = unpruned_strict_support(positions, weights, stop_below)
+                assert best_strict_support(positions, weights, stop_below) == expected
+                total_work += expected[1]
+        assert len(calls) < total_work  # some subsets were decided by a certificate
+
+    def test_cells_match_unpruned_loop(self, monkeypatch):
+        calls = _count_lps(monkeypatch)
+        total_work = 0
+        for space in _pruning_instances():
+            grouped = distinct_positions(space)
+            positions, weights = [p for p, _ in grouped], [w for _, w in grouped]
+            patterns, work = unpruned_cells(positions)
+            best, best_w = None, None
+            for flags, witness in patterns:
+                w = sum((weights[i] for i, f in enumerate(flags) if f), Fraction(0))
+                if best is None or w > best_w:
+                    best, best_w = (flags, witness), w
+            flags, witness = best
+            supported = [positions[i] for i, f in enumerate(flags) if f]
+            report = solve_euc_cells(space)
+            assert report.work == work
+            assert report.best_proposal == solvers.proposal_from_direction(supported, witness)
+            total_work += work
+        assert len(calls) < total_work
+
+    def test_sat2_scan_needs_few_lps(self, monkeypatch):
+        calls = _count_lps(monkeypatch)
+        space = reduce_3sat_to_euc(3, [[1, 2, 3], [-1, -2, -3]]).space
+        report = solve_euc_subsets(space)
+        assert report.work == 95
+        assert len(calls) <= 10
+
+
+class TestCellsGuard:
+    def axis(self, count, d):
+        # ``count`` distinct positions on the first axis of R^d: 1, -1, 2, -2, ...
+        return euc_space([[(k // 2 + 1) * (-1) ** k] + [0] * (d - 1) for k in range(count)])
+
+    def test_guard_both_sides(self):
+        # The guard estimates the cost from the position count and d alone, so
+        # points on one axis reach its limits cheaply.
+        for d, limit in ((1, 212), (2, 59), (3, 32), (4, 22)):
+            if d > 1:
+                assert solve_euc_cells(self.axis(limit, d)).best_score == (limit + 1) // 2
+            with pytest.raises(GuardExceeded, match=f"{limit + 1} distinct positions in R\\^{d}"):
+                solve_euc_cells(self.axis(limit + 1, d))
+            with pytest.raises(GuardExceeded):
+                solve_popular(self.axis(limit + 1, d), "cells")
+
+    def test_low_dimensions_take_more_positions(self):
+        for space in (
+            gen_random("euclidean", 40, 1, seed=1, coord_range=(-50, 50)),
+            gen_random("euclidean", 36, 2, seed=1, coord_range=(-50, 50)),
+        ):
+            assert len(distinct_positions(space)) > 32
+            report = solve_popular(space)  # auto picks cells for d <= 3
+            assert report.method is Method.EUC_CELLS
+            assert report.best_score == local_euc_popular_2d(space)
 
 
 class TestEucProperties:
