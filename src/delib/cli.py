@@ -47,16 +47,12 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_instance(path: str) -> Instance:
-    return instancefile.load(path)
-
-
 # ---------------------------------------------------------------------------
 
 
 def cmd_solve(args) -> int:
     try:
-        inst = _load_instance(args.space)
+        inst = instancefile.load(args.space)
     except (OSError, InstanceFormatError) as exc:
         return _fail(EXIT_PARSE, f"cannot load instance: {exc}")
     try:
@@ -118,7 +114,7 @@ def _family_for(inst: Instance):
 
 def cmd_simulate(args) -> int:
     try:
-        inst = _load_instance(args.space)
+        inst = instancefile.load(args.space)
     except (OSError, InstanceFormatError) as exc:
         return _fail(EXIT_PARSE, f"cannot load instance: {exc}")
     space = inst.space
@@ -234,7 +230,7 @@ def cmd_reduce(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_PARSE, f"cannot read input: {exc}")
     try:
         if args.source == "3sat":
@@ -247,7 +243,7 @@ def cmd_reduce(args) -> int:
                 return _fail(EXIT_PARSE, "--kappa is required for independent-set reductions")
             cert = generators.reduce_is_to_hyp(num_vertices, edges, args.kappa)
             meta = {"family": "reduction", "problem": "indep-set", "kappa": args.kappa}
-    except GeneratorError as exc:
+    except ValueError as exc:  # GeneratorError, or a malformed number in the input
         return _fail(EXIT_PARSE, str(exc))
     instancefile.save(Instance(cert.space, None, meta), args.out)
     cert_path = args.cert or (args.out + ".cert.json")
@@ -263,19 +259,22 @@ def cmd_reduce(args) -> int:
 
 def _verify_exp_compromise(args) -> int:
     try:
-        inst = _load_instance(args.infile)
+        inst = instancefile.load(args.infile)
     except (OSError, InstanceFormatError) as exc:
         return _fail(EXIT_PARSE, f"cannot load instance: {exc}")
     meta = inst.meta or {}
     if meta.get("family") != "exp-compromise":
         return _fail(EXIT_PARSE, "not an exp-compromise instance (missing family metadata)")
-    built = generators.gen_exp_compromise(int(meta["d"]))
+    try:
+        built = generators.gen_exp_compromise(int(meta["d"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        return _fail(EXIT_PARSE, f"malformed exp-compromise metadata: {exc!r}")
     regenerated = Instance(built.space, built.initial, None)
     if regenerated.space != inst.space or built.initial != inst.structure:
         print("check=regeneration result=fail")
         print("first_violation=instance does not match its declared construction")
         return EXIT_VERIFY_FAIL
-    report = generators.verify_exp_compromise(built, exhaustive_proposals=args.exhaustive)
+    report = generators.verify_exp_compromise(built)
     for line in report.checks:
         print(f"check={line.split(':')[0]} result=pass")
     if not report.passed:
@@ -289,7 +288,7 @@ def _verify_trace(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_PARSE, f"cannot read trace: {exc}")
     from .dynamics import TRACE_CSV_HEADER
 
@@ -303,10 +302,14 @@ def _verify_trace(args) -> int:
             print(f"first_violation=row {lineno}: malformed")
             return EXIT_VERIFY_FAIL
         step, ell, sizes_s, new_size, phi_b, phi_a = parts
-        sizes = [int(s) for s in sizes_s.split("+")] if sizes_s else []
-        ell = int(ell)
-        new_size = int(new_size)
-        if int(step) != lineno:
+        try:
+            sizes = [int(s) for s in sizes_s.split("+")] if sizes_s else []
+            step, ell, new_size = int(step), int(ell), int(new_size)
+            before, after = (int(phi_b), int(phi_a)) if phi_b and phi_a else (None, None)
+        except ValueError:
+            print(f"first_violation=row {lineno}: malformed")
+            return EXIT_VERIFY_FAIL
+        if step != lineno:
             print(f"first_violation=row {lineno}: step numbering")
             return EXIT_VERIFY_FAIL
         if ell < 2 or len(sizes) != ell:
@@ -318,8 +321,7 @@ def _verify_trace(args) -> int:
         if new_size > sum(sizes):
             print(f"first_violation=row {lineno}: conservation")
             return EXIT_VERIFY_FAIL
-        if phi_b and phi_a:
-            before, after = int(phi_b), int(phi_a)
+        if before is not None:
             if prev_phi is not None and before != prev_phi:
                 print(f"first_violation=row {lineno}: potential chaining")
                 return EXIT_VERIFY_FAIL
@@ -356,13 +358,15 @@ def _verify_reduction(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             cert = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, f"cannot load certificate: {exc}")
+    if not isinstance(cert, dict):
+        return _fail(EXIT_PARSE, "certificate must hold a JSON object")
     space_path = args.space or cert.get("instance")
     if not space_path:
         return _fail(EXIT_PARSE, "no instance path given (use --space)")
     try:
-        inst = _load_instance(space_path)
+        inst = instancefile.load(space_path)
     except (OSError, InstanceFormatError) as exc:
         return _fail(EXIT_PARSE, f"cannot load instance: {exc}")
     source = cert.get("source", {})
@@ -424,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--eta", help="score threshold to test (rational, e.g. 3 or 7/2)")
     p.add_argument("--json", help="also write the report as JSON to this path")
-    p.add_argument("--jobs", type=int, default=1, help="solver worker hint (solvers are pure; current build runs them sequentially)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="run a deliberation to termination")
@@ -437,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", help="write the step CSV here")
-    p.add_argument("--jobs", type=int, default=1, help="solver worker hint (unused placeholder)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("generate", help="produce an instance file")
@@ -466,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", required=True, choices=["exp-compromise", "trace", "reduction"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--space", help="instance file (reduction verification)")
-    p.add_argument("--exhaustive", action="store_true", help="sweep all proposals (exp-compromise; very slow)")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -474,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        return _fail(EXIT_BAD_PARAMS, "--jobs must be at least 1")
     return args.func(args)
 
 

@@ -21,8 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import solvers
-from .linprog import solve_strict_rows
-from .solvers import DEFAULT_LIMITS, GuardExceeded, SolverLimits
+from .solvers import DEFAULT_LIMITS, SolverLimits
 from .space import (
     DeliberationSpace,
     Kind,
@@ -248,40 +247,18 @@ def _best_candidate_for(
     max_part = max(coalition_weight(space, structure.coalitions[j].members) for j in subset)
 
     if space.kind is Kind.HYPERCUBE:
-        if space.dim > limits.hyp_brute_max_dim:
-            raise GuardExceeded(
-                f"compromise search over 2^{space.dim} proposals exceeds the guard"
-            )
+        limits.check("hyp_brute_max_dim", space.dim)
         masks = [(space.agents[i].position.data, space.agents[i].weight) for i in union]
-        best_mask, best_w = None, _ZERO
-        for mask in range(1, 1 << space.dim):
-            size = mask.bit_count()
-            w = _ZERO
-            for amask, aw in masks:
-                if size < 2 * (amask & mask).bit_count():
-                    w += aw
-            if best_mask is None or w > best_w:
-                best_mask, best_w = mask, w
+        best_mask, best_w = solvers._heaviest_mask(masks, space.dim)
         work = (1 << space.dim) - 1
         if best_w <= max_part:
             return None, work
         proposal = hypercube_point(best_mask, space.dim)
     elif space.kind is Kind.EUCLIDEAN:
-        grouped: dict[Point, Fraction] = {}
-        for i in union:
-            a = space.agents[i]
-            grouped[a.position] = grouped.get(a.position, _ZERO) + a.weight
-        positions = sorted(grouped, key=lambda p: p.sort_key())
-        if len(positions) > limits.subset_max_groups:
-            raise GuardExceeded(
-                f"{len(positions)} distinct positions exceed the subset guard"
-            )
-        weights = [grouped[p] for p in positions]
-        found, work = solvers.best_strict_support(positions, weights, stop_below=max_part)
-        if found is None:
+        agents = [space.agents[i] for i in union]
+        proposal, work = solvers._strict_support_proposal(agents, limits, stop_below=max_part)
+        if proposal is None:
             return None, work
-        kept, _, direction = found
-        proposal = solvers.proposal_from_direction([positions[i] for i in kept], direction)
     else:
         candidates = list(solvers.grid_targets(space.grid_nonneg))
         candidates += [structure.coalitions[j].proposal for j in subset]
@@ -448,15 +425,6 @@ class GreedyFastScheduler(Scheduler):
     def __init__(self, limits: SolverLimits = DEFAULT_LIMITS):
         self.limits = limits
 
-    def _perfect_direction(self, space, agent_indices):
-        positions = sorted(
-            {space.agents[i].position for i in agent_indices}, key=lambda p: p.sort_key()
-        )
-        x, _ = solve_strict_rows(space.dim, [(">",) + p.data for p in positions])
-        if x is None:
-            return None
-        return solvers.proposal_from_direction(positions, x)
-
     def __call__(self, space, structure, k, rng):
         if space.kind is not Kind.EUCLIDEAN:
             raise DynamicsError("the greedy-fast scheduler requires a Euclidean space")
@@ -465,7 +433,7 @@ class GreedyFastScheduler(Scheduler):
         for i in range(m):
             for j in range(i + 1, m):
                 both = structure.coalitions[i].members | structure.coalitions[j].members
-                p = self._perfect_direction(space, both)
+                p = solvers._perfect_proposal([space.agents[a] for a in both])
                 if p is not None:
                     return build_transition(space, structure, (i, j), p)
         # (ii) one agent joins a maximum-weight coalition
@@ -476,9 +444,8 @@ class GreedyFastScheduler(Scheduler):
             j = owner[agent]
             if j == top:
                 continue
-            p = self._perfect_direction(
-                space, sorted(structure.coalitions[top].members) + [agent]
-            )
+            joined = sorted(structure.coalitions[top].members) + [agent]
+            p = solvers._perfect_proposal([space.agents[a] for a in joined])
             if p is not None:
                 return build_transition(space, structure, (top, j), p)
         # (iii) two coalitions: aim straight at a popular proposal

@@ -277,7 +277,7 @@ class VerificationReport:
     checks: tuple[str, ...]
 
 
-def verify_exp_compromise(inst: ExpCompromiseInstance, exhaustive_proposals: bool = False) -> VerificationReport:
+def verify_exp_compromise(inst: ExpCompromiseInstance) -> VerificationReport:
     """Exact structural checks of the construction.
 
     (1) every agent approves its own seed proposal and no other seed;
@@ -288,10 +288,6 @@ def verify_exp_compromise(inst: ExpCompromiseInstance, exhaustive_proposals: boo
         participant; (5) the calibration constants are in range, the decay
         solves the geometric-sum equation up to its rational relaxation, and
         the capture fraction is at least the rival cap.
-
-    ``exhaustive_proposals`` additionally sweeps all 2^d - 1 proposals to
-    confirm no small compromise beats the pivot anywhere; that sweep is
-    astronomically slow for admissible d and is off by default.
     """
     space, failures, checks = inst.space, [], []
     special_bit = 1  # dimension d-1 sits at bit 0 under the MSB-first packing
@@ -381,46 +377,8 @@ def verify_exp_compromise(inst: ExpCompromiseInstance, exhaustive_proposals: boo
     else:
         checks.append("check5: calibration constants satisfy their constraints")
 
-    if exhaustive_proposals:
-        sweep_ok = _exhaustive_rival_sweep(inst)
-        if sweep_ok:
-            checks.append("sweep: no proposal admits a compromise of fewer than k coalitions")
-        else:
-            failures.append("sweep: some proposal admits a small compromise")
-
     return VerificationReport(not failures, tuple(failures), tuple(checks))
 
-
-def _exhaustive_rival_sweep(inst: ExpCompromiseInstance) -> bool:
-    """Sweep all proposals: none may let fewer than k coalitions compromise.
-
-    A compromise of the coalitions I succeeds at a proposal when the weight
-    it captures there exceeds the heaviest participant, so for each choice of
-    heaviest participant it suffices to add the best capture values among the
-    lighter coalitions.  Exponential in d; exposed for completeness, never
-    required.
-    """
-    space = inst.space
-    coals = inst.initial.coalitions
-    weights = [sum((space.agents[i].weight for i in c.members), _ZERO) for c in coals]
-    k = inst.compromise_size
-    groups = [
-        [(space.agents[i].position.data, space.agents[i].weight) for i in c.members]
-        for c in coals
-    ]
-    # Coalition weights strictly decrease along the chain.
-    for mask in range(1, 1 << space.dim):
-        size = mask.bit_count()
-        per = [
-            sum((w for am, w in grp if size < 2 * (am & mask).bit_count()), _ZERO)
-            for grp in groups
-        ]
-        for heavy in range(len(coals)):
-            lighter = sorted(per[heavy + 1:], reverse=True)
-            got = per[heavy] + sum(lighter[: k - 2], _ZERO)
-            if got > weights[heavy]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ is recorded in the trace notes and excluded from the transition count.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
@@ -40,17 +39,6 @@ from .space import DeliberationSpace, Kind, Point, approval_test, grid_point, sc
 _ZERO = Fraction(0)
 
 
-class GridVariant(enum.Enum):
-    NONNEGATIVE = "nonneg"
-    FULL = "full"
-
-
-def variant_of(space: DeliberationSpace) -> GridVariant:
-    if space.kind is not Kind.GRID:
-        raise ValueError("not a grid space")
-    return GridVariant.NONNEGATIVE if space.grid_nonneg else GridVariant.FULL
-
-
 def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
@@ -68,17 +56,12 @@ def pull_toward_origin(p: Point) -> Point:
     return grid_point(x - _sign(x), y - _sign(y))
 
 
-def canonical_support_targets(variant: GridVariant) -> tuple[Point, ...]:
-    """The unit proposals whose supports dominate all proposals' supports."""
-    return grid_targets(variant is GridVariant.NONNEGATIVE)
-
-
 def _canonical_target(space: DeliberationSpace, coalition: Coalition) -> Point:
     """A unit target every member approves, found by pulling the proposal."""
     p = coalition.proposal
     while abs(p.data[0]) > 1 or abs(p.data[1]) > 1:
         p = pull_toward_origin(p)
-    targets = canonical_support_targets(variant_of(space))
+    targets = grid_targets(space.grid_nonneg)
     if p in targets:
         return p
     # Diagonal core proposal: its supporters approve both adjacent targets.
@@ -179,7 +162,7 @@ def grid_converge(
         live.append(new_id)
         ids.append(new_id)
 
-    targets = canonical_support_targets(variant_of(space))
+    targets = grid_targets(space.grid_nonneg)
     target_scores = [(t, score(space, t)) for t in targets]
     popular_score = max(s for _, s in target_scores)
 

@@ -68,8 +68,18 @@ def _point_in(kind: Kind, coords, dim: int) -> Point:
         if kind is Kind.EUCLIDEAN:
             return euclidean_point([Fraction(c) for c in coords])
         return grid_point(int(coords[0]), int(coords[1]))
-    except (ValueError, TypeError, IndexError, ZeroDivisionError, SpaceError) as exc:
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError, ZeroDivisionError) as exc:
         raise InstanceFormatError(f"bad coordinates {coords!r}: {exc}") from exc
+
+
+def _entries(entries, key: str, required: set[str]) -> list[dict]:
+    """``entries``, the value under ``key``, as a list of objects holding ``required``."""
+    if not isinstance(entries, list):
+        raise InstanceFormatError(f"{key!r} must be a list")
+    for entry in entries:
+        if not isinstance(entry, dict) or not entry.keys() >= required:
+            raise InstanceFormatError(f"each {key!r} entry must be an object with {', '.join(sorted(required))}")
+    return entries
 
 
 def to_document(inst: Instance) -> dict:
@@ -97,18 +107,20 @@ def from_document(doc: dict) -> Instance:
         kind_tag = doc["kind"]
         dim = int(doc["d"])
         agents_doc = doc["agents"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
     if doc.get("version") != FORMAT_VERSION:
         raise InstanceFormatError(f"unsupported format version {doc.get('version')!r}")
-    if kind_tag not in _KIND_TAGS:
+    if not isinstance(kind_tag, str) or kind_tag not in _KIND_TAGS:
         raise InstanceFormatError(f"unknown kind {kind_tag!r}")
+    if not isinstance(doc.get("meta", {}), (dict, type(None))):
+        raise InstanceFormatError("'meta' must be an object")
     kind, nonneg = _KIND_TAGS[kind_tag]
     agents = []
-    for a in agents_doc:
+    for a in _entries(agents_doc, "agents", {"coords"}):
         try:
             weight = Fraction(a.get("weight", "1"))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
             raise InstanceFormatError(f"bad weight {a.get('weight')!r}") from exc
         pos = _point_in(kind, a["coords"], dim)
         if pos.dim != dim:
@@ -124,9 +136,12 @@ def from_document(doc: dict) -> Instance:
     structure = None
     if "structure" in doc:
         coalitions = []
-        for c in doc["structure"]:
+        for c in _entries(doc["structure"], "structure", {"proposal", "members"}):
             proposal = _point_in(kind, c["proposal"], dim)
-            coalitions.append(Coalition(frozenset(int(i) for i in c["members"]), proposal))
+            try:
+                coalitions.append(Coalition(frozenset(int(i) for i in c["members"]), proposal))
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise InstanceFormatError(f"bad members {c['members']!r}: {exc}") from exc
         structure = CoalitionStructure(tuple(coalitions))
         try:
             validate_structure(space, structure)
@@ -156,4 +171,8 @@ def save(inst: Instance, path: str):
 
 def load(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceFormatError(f"not UTF-8 text: {exc}") from exc
+    return loads(text)

@@ -5,26 +5,21 @@ is a dense tableau simplex with Bland's rule (which cannot cycle), run in
 scaled integer arithmetic: every tableau row is a vector of integer
 numerators with one positive denominator, so a pivot is integer
 cross-multiplication plus a gcd normalisation, and ratio tests compare
-integer products.  Fractions appear only at the boundary.
+integer products.  Fractions appear only in the witness.
 
-Strict rows ``<a, x> > c`` are handled by a margin variable: replace them
-by ``<a, x> >= c + delta``, clamp the free variables into the box
-``-1 <= x_i <= 1`` (the callers' systems are homogeneous, so the box loses
-no solutions), and maximise ``delta``; the strict system is feasible
-exactly when the optimum is positive.
+Every system is homogeneous: rows ``<N / q, x> > 0`` and ``<N / q, x> <= 0``
+given as integer rows ``(REL, q, N)`` with ``N`` sparse ``(index,
+numerator)`` pairs, the canonical form of a Euclidean point (``Point.data``
+is ``(q, N)``).  Strict rows are handled by a margin variable: replace them
+by ``<N, x> >= q delta``, clamp the free variables into the box
+``-1 <= x_i <= 1`` (which loses no solutions, since the system is
+homogeneous), cap ``delta <= 1`` and maximise ``delta``; the strict system
+is feasible exactly when the optimum is positive.  Every right-hand side is
+0 or 1, so the slack basis is feasible from the start and one simplex phase
+suffices.
 
-Rows enter the core as integers: ``<N / q, x> REL b / q`` is
-``(REL, q, N)`` with ``N`` sparse ``(index, numerator)`` pairs, the
-canonical form of a Euclidean point (``Point.data`` is ``(q, N)``), and a
-strict row's margin coefficient is ``q``.  As gcd(q, N) = 1, ``q`` is the lcm
-of the coordinates' denominators, so this is the row the Fraction path
-builds for the same point.  Fraction systems
-(:func:`solve_lp_feasible_strict`) are scaled once, row by row, by the lcm
-of their denominators into the same form.
-
-When a homogeneous system of ``>`` and ``<=`` rows is strictly infeasible,
-the margin optimum is 0 and the final objective row's slack columns hold
-multipliers ``y >= 0`` with
+When the system is strictly infeasible, the margin optimum is 0 and the
+final objective row's slack columns hold multipliers ``y >= 0`` with
 
     sum over ``>`` rows of y_i N_i  -  sum over ``<=`` rows of y_i N_i  =  0
 
@@ -36,47 +31,14 @@ after checking it in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd
 
 _ZERO = Fraction(0)
 
-RELATIONS = ("<=", ">=", "=", ">")
-
 
 class MalformedSystem(ValueError):
-    """Raised for inconsistent row shapes or an unbounded margin objective."""
-
-
-@dataclass(frozen=True)
-class Row:
-    coeffs: tuple[Fraction, ...]
-    relation: str
-    rhs: Fraction
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Rows ``<a, x> REL b`` over ``variables`` free rational unknowns."""
-
-    variables: int
-    rows: tuple[Row, ...]
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row.coeffs) != self.variables:
-                raise MalformedSystem("coefficient vector length must equal the variable count")
-            if row.relation not in RELATIONS:
-                raise MalformedSystem(f"unknown relation {row.relation!r}")
-
-
-def make_system(variables: int, rows: Sequence[tuple[Sequence, str, object]]) -> LinearSystem:
-    built = tuple(
-        Row(tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs)) for coeffs, rel, rhs in rows
-    )
-    return LinearSystem(variables, built)
+    """Raised for an unbounded margin objective."""
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +100,13 @@ def _simplex_max(nums, dens, basis, ncols):
         _pivot(nums, dens, basis, best_row, col)
 
 
-def _max_margin(d: int, rows, rhs: Sequence[int] | None = None):
-    """Maximise the margin over integer rows ``(REL, q, N)`` with right-hand sides ``rhs``.
+def _max_margin(d: int, rows):
+    """Maximise the margin over the homogeneous integer rows ``(REL, q, N)``.
 
     ``A z <= b`` holds the rows over ``z = (p, r, delta)`` with ``x = p - r``,
     then the cap ``delta <= 1`` and the box rows.  Returns ``(x, y)``: the
     witness if the optimum is positive, else None, and the objective row on
-    the rows' slack columns (None if phase 1 finds the rows infeasible).
+    the rows' slack columns.
     """
     n = 2 * d + 1
     delta = 2 * d
@@ -160,17 +122,11 @@ def _max_margin(d: int, rows, rhs: Sequence[int] | None = None):
         A.append(row)
         b.append(bi)
 
-    for k, (rel, q, pairs) in enumerate(rows):
-        bk = 0 if rhs is None else rhs[k]
+    for rel, q, pairs in rows:
         if rel == "<=":
-            emit(1, pairs, bk)
-        elif rel == ">=":
-            emit(-1, pairs, -bk)
-        elif rel == "=":
-            emit(1, pairs, bk)
-            emit(-1, pairs, -bk)
-        else:  # strict: <N, x> >= b + q delta
-            emit(-1, pairs, -bk, margin=q)
+            emit(1, pairs, 0)
+        else:  # strict: <N, x> >= q delta
+            emit(-1, pairs, 0, margin=q)
     # Cap the margin so the objective stays bounded even without strict rows;
     # any positive optimum still certifies strict feasibility.
     A.append([0] * delta + [1])
@@ -180,66 +136,16 @@ def _max_margin(d: int, rows, rhs: Sequence[int] | None = None):
         emit(-1, ((j, 1),), 1)
 
     m = len(A)
-    need_art = [i for i in range(m) if b[i] < 0]
-    art_col = {i: n + m + k for k, i in enumerate(need_art)}
-    ncols = n + m + len(need_art)
-    nums: list[list[int]] = []
-    dens: list[int] = []
-    basis: list[int] = []
-    for i in range(m):
-        row = A[i] + [0] * (m + len(need_art)) + [b[i]]
+    nums = [row + [0] * m + [bi] for row, bi in zip(A, b)]
+    for i, row in enumerate(nums):
         row[n + i] = 1  # slack
-        if i in art_col:
-            row = [-v for v in row]
-            row[art_col[i]] = 1
-            basis.append(art_col[i])
-        else:
-            basis.append(n + i)
-        nums.append(row)
-        dens.append(1)
-
-    if need_art:
-        # Phase 1: maximise minus the artificial total.  Start from +1 on the
-        # artificial columns and zero the basic ones out by subtracting their
-        # rows, keeping everything over one integer denominator.
-        obj_num = [0] * (ncols + 1)
-        for col in art_col.values():
-            obj_num[col] = 1
-        obj_den = 1
-        for i in need_art:
-            r = basis.index(art_col[i])
-            prow, pden = nums[r], dens[r]
-            obj_num = [a * pden - obj_den * p for a, p in zip(obj_num, prow)]
-            obj_num, obj_den = _normalise(obj_num, obj_den * pden)
-        nums.append(obj_num)
-        dens.append(obj_den)
-        _simplex_max(nums, dens, basis, ncols)
-        if nums[-1][-1] != 0:
-            return None, None
-        nums.pop()
-        dens.pop()
-        # Drive leftover artificials out of the basis (degenerate rows).
-        for r in range(m):
-            if basis[r] >= n + m:
-                col = next((j for j in range(n + m) if nums[r][j] != 0), None)
-                if col is not None:
-                    _pivot(nums, dens, basis, r, col)
-        for r in range(m):
-            nums[r] = nums[r][: n + m] + [nums[r][-1]]
-        ncols = n + m
-
-    # Phase 2: maximise delta.
-    obj_num = [0] * (ncols + 1)
-    obj_num[delta] = -1
-    obj_den = 1
-    if delta in basis:
-        r = basis.index(delta)
-        prow, pden = nums[r], dens[r]
-        obj_num = [a * pden + obj_den * p for a, p in zip(obj_num, prow)]
-        obj_num, obj_den = _normalise(obj_num, obj_den * pden)
-    nums.append(obj_num)
-    dens.append(obj_den)
-    _simplex_max(nums, dens, basis, ncols)
+    basis = list(range(n, n + m))
+    dens = [1] * m
+    # Maximise delta.  Every b is 0 or 1, so the slack basis is feasible, and
+    # delta is nonbasic there, so the objective row needs no reduction.
+    nums.append([0] * delta + [-1] + [0] * (m + 1))
+    dens.append(1)
+    _simplex_max(nums, dens, basis, n + m)
 
     y = nums[-1][n : n + m - 1 - 2 * d]
     if nums[-1][-1] <= 0:
@@ -256,10 +162,9 @@ def solve_strict_rows(d: int, rows) -> tuple[tuple[Fraction, ...] | None, tuple[
 
     ``rows`` holds ``(REL, q, N)`` with ``REL`` one of ``>`` and ``<=`` and
     ``N`` sparse ``(index, numerator)`` pairs.  Returns ``(x, None)`` with a
-    rational ``x`` satisfying every row, strict rows strictly (the witness
-    the Fraction path returns for the same system), or ``(None, y)`` with
-    one multiplier per row that passed the check in the module docstring;
-    ``(None, None)`` if they did not.
+    rational ``x`` satisfying every row, strict rows strictly, or
+    ``(None, y)`` with one multiplier per row that passed the check in the
+    module docstring; ``(None, None)`` if they did not.
     """
     x, y = _max_margin(d, rows)
     if x is not None:
@@ -276,19 +181,3 @@ def solve_strict_rows(d: int, rows) -> tuple[tuple[Fraction, ...] | None, tuple[
     if len(y) == len(rows) and strict and not any(total):
         return None, tuple(y)
     return None, None
-
-
-def solve_lp_feasible_strict(system: LinearSystem) -> tuple[Fraction, ...] | None:
-    """A rational point satisfying the system with every strict row slack.
-
-    Returns ``None`` when no such point exists.  Intended for homogeneous
-    systems (all right-hand sides zero); inhomogeneous callers must ensure a
-    witness inside the unit box exists, since the box is always imposed.
-    """
-    rows, rhs = [], []
-    for r in system.rows:
-        q = lcm(r.rhs.denominator, *(c.denominator for c in r.coeffs))
-        rows.append((r.relation, q, [(j, int(c * q)) for j, c in enumerate(r.coeffs) if c]))
-        rhs.append(int(r.rhs * q))
-    return _max_margin(system.variables, rows, rhs)[0]
-

@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 
 from .linprog import solve_strict_rows
 from .space import (
+    Agent,
     DeliberationSpace,
     Kind,
     Point,
@@ -42,6 +43,13 @@ class GuardExceeded(RuntimeError):
     """An exponential search would exceed its configured guard."""
 
 
+_GUARD_MESSAGES = {
+    "hyp_brute_max_dim": "brute force over 2^{size} proposals exceeds the guard (d <= {limit})",
+    "ilp_max_groups": "{size} distinct positions exceed the ILP guard ({limit})",
+    "subset_max_groups": "{size} distinct positions exceed the subset guard ({limit})",
+}
+
+
 @dataclass(frozen=True)
 class SolverLimits:
     """Size guards; exceeding one raises :class:`GuardExceeded`."""
@@ -49,6 +57,12 @@ class SolverLimits:
     hyp_brute_max_dim: int = 26
     ilp_max_groups: int = 10
     subset_max_groups: int = 22
+
+    def check(self, guard: str, size: int) -> None:
+        """Raise :class:`GuardExceeded` when ``size`` exceeds the field named ``guard``."""
+        limit = getattr(self, guard)
+        if size > limit:
+            raise GuardExceeded(_GUARD_MESSAGES[guard].format(size=size, limit=limit))
 
 
 DEFAULT_LIMITS = SolverLimits()
@@ -81,17 +95,15 @@ def _report(space: DeliberationSpace, proposal: Point, method: Method, work: int
 # Hypercube: exhaustive scan.
 
 
-def solve_hyp_bruteforce(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
-    """Scan all 2^d - 1 proposals; ties go to the lexicographically smallest."""
-    if space.kind is not Kind.HYPERCUBE:
-        raise ValueError("hypercube solver called on a non-hypercube space")
-    if space.dim > limits.hyp_brute_max_dim:
-        raise GuardExceeded(
-            f"brute force over 2^{space.dim} proposals exceeds the guard (d <= {limits.hyp_brute_max_dim})"
-        )
-    groups = [(pos.data, w) for pos, w in distinct_positions(space)]
+def _heaviest_mask(groups: Sequence[tuple[int, Fraction]], d: int) -> tuple[int, Fraction]:
+    """First of the 2^d - 1 proposal masks with the largest approving weight.
+
+    ``groups`` holds ``(mask, weight)`` pairs.  Masks are scanned in
+    increasing order, which is lexicographic order on coordinates, so ties
+    go to the lexicographically smallest proposal.
+    """
     best_mask, best_weight = None, _ZERO
-    for mask in range(1, 1 << space.dim):
+    for mask in range(1, 1 << d):
         size = mask.bit_count()
         w = _ZERO
         for gmask, gw in groups:
@@ -99,6 +111,15 @@ def solve_hyp_bruteforce(space: DeliberationSpace, limits: SolverLimits = DEFAUL
                 w += gw
         if w > best_weight or best_mask is None:
             best_mask, best_weight = mask, w
+    return best_mask, best_weight
+
+
+def solve_hyp_bruteforce(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
+    """Scan all 2^d - 1 proposals; ties go to the lexicographically smallest."""
+    if space.kind is not Kind.HYPERCUBE:
+        raise ValueError("hypercube solver called on a non-hypercube space")
+    limits.check("hyp_brute_max_dim", space.dim)
+    best_mask, _ = _heaviest_mask([(pos.data, w) for pos, w in distinct_positions(space)], space.dim)
     proposal = hypercube_point(best_mask, space.dim)
     return _report(space, proposal, Method.HYP_BRUTE, (1 << space.dim) - 1)
 
@@ -106,13 +127,11 @@ def solve_hyp_bruteforce(space: DeliberationSpace, limits: SolverLimits = DEFAUL
 def hyp_unanimous_proposal(
     space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS
 ) -> Point | None:
-    """First proposal approved by every agent, by the same exhaustive scan."""
+    """First proposal approved by every agent, by an exhaustive scan that
+    stops at the first agent who disapproves."""
     if space.kind is not Kind.HYPERCUBE:
         raise ValueError("hypercube solver called on a non-hypercube space")
-    if space.dim > limits.hyp_brute_max_dim:
-        raise GuardExceeded(
-            f"brute force over 2^{space.dim} proposals exceeds the guard (d <= {limits.hyp_brute_max_dim})"
-        )
+    limits.check("hyp_brute_max_dim", space.dim)
     masks = [pos.data for pos, _ in distinct_positions(space)]
     for mask in range(1, 1 << space.dim):
         size = mask.bit_count()
@@ -125,26 +144,12 @@ def hyp_unanimous_proposal(
 # Hypercube: dimension types and the membership ILP.
 
 
-def dimension_types(space: DeliberationSpace) -> dict[int, int]:
-    """Map each dimension signature (bit g = group g's coordinate) to its count.
+def _type_dimensions(space: DeliberationSpace, groups) -> dict[int, list[int]]:
+    """The dimensions of each signature (bit g = position group g's coordinate).
 
     Dimensions sharing a signature are interchangeable, which is what makes
     the ILP formulation over per-type counters sound.
     """
-    groups = position_groups(space)
-    sigs: dict[int, int] = {}
-    for j in range(space.dim):
-        bit = 1 << (space.dim - 1 - j)
-        sig = 0
-        for g, (pos, _, _) in enumerate(groups):
-            if pos.data & bit:
-                sig |= 1 << g
-        sigs[sig] = sigs.get(sig, 0) + 1
-    return sigs
-
-
-def _type_dimensions(space: DeliberationSpace) -> dict[int, list[int]]:
-    groups = position_groups(space)
     out: dict[int, list[int]] = {}
     for j in range(space.dim):
         bit = 1 << (space.dim - 1 - j)
@@ -154,6 +159,11 @@ def _type_dimensions(space: DeliberationSpace) -> dict[int, list[int]]:
                 sig |= 1 << g
         out.setdefault(sig, []).append(j)
     return out
+
+
+def dimension_types(space: DeliberationSpace) -> dict[int, int]:
+    """Map each dimension signature to its count of dimensions."""
+    return {sig: len(dims) for sig, dims in _type_dimensions(space, position_groups(space)).items()}
 
 
 def _ilp_feasible(types: list[tuple[int, int]], n_groups: int, target: set[int]) -> dict[int, int] | None:
@@ -231,10 +241,7 @@ def solve_hyp_type_ilp(
     if space.kind is not Kind.HYPERCUBE:
         raise ValueError("type ILP called on a non-hypercube space")
     groups = position_groups(space)
-    if len(groups) > limits.ilp_max_groups:
-        raise GuardExceeded(
-            f"{len(groups)} distinct positions exceed the ILP guard ({limits.ilp_max_groups})"
-        )
+    limits.check("ilp_max_groups", len(groups))
     target_set = set(target)
     group_target: set[int] = set()
     for g, (_, _, members) in enumerate(groups):
@@ -243,13 +250,16 @@ def solve_hyp_type_ilp(
             return None  # co-located agents approve identically
         if inside:
             group_target.add(g)
-    types = sorted(dimension_types(space).items())
+    types = sorted((sig, len(dims)) for sig, dims in _type_dimensions(space, groups).items())
     return _ilp_feasible(types, len(groups), group_target)
 
 
 def proposal_from_type_counts(space: DeliberationSpace, counts: dict[int, int]) -> Point:
     """Materialise a proposal with the given number of ones per dimension type."""
-    by_type = _type_dimensions(space)
+    return _proposal_from_types(space, _type_dimensions(space, position_groups(space)), counts)
+
+
+def _proposal_from_types(space: DeliberationSpace, by_type: dict[int, list[int]], counts: dict[int, int]) -> Point:
     mask = 0
     for sig, dims in by_type.items():
         k = counts.get(sig, 0)
@@ -329,15 +339,42 @@ def proposal_from_direction(positions: Sequence[Point], direction: Sequence[Frac
     return euclidean_point(tuple(eps * c for c in direction))
 
 
+def _perfect_proposal(agents: Sequence[Agent]) -> Point | None:
+    """A proposal every one of the Euclidean ``agents`` approves, or None."""
+    positions = sorted({a.position for a in agents}, key=lambda p: p.sort_key())
+    x, _ = solve_strict_rows(positions[0].dim, [(">",) + p.data for p in positions])
+    if x is None:
+        return None
+    return proposal_from_direction(positions, x)
+
+
+def _strict_support_proposal(
+    agents: Sequence[Agent], limits: SolverLimits, stop_below: Fraction | None = None
+) -> tuple[Point | None, int]:
+    """The proposal of the heaviest strict support among the Euclidean ``agents``.
+
+    Groups the agents by position, checks the subset guard and runs
+    :func:`best_strict_support`; returns ``(proposal or None, work)``.
+    """
+    grouped: dict[Point, Fraction] = {}
+    for a in agents:
+        grouped[a.position] = grouped.get(a.position, _ZERO) + a.weight
+    positions = sorted(grouped, key=lambda p: p.sort_key())
+    limits.check("subset_max_groups", len(positions))
+    found, work = best_strict_support(positions, [grouped[p] for p in positions], stop_below)
+    if found is None:
+        return None, work
+    kept, _, direction = found
+    return proposal_from_direction([positions[i] for i in kept], direction), work
+
+
 def solve_euc_perfect(space: DeliberationSpace) -> Point | None:
     """A proposal approved by every agent, or None when no such point exists."""
     if space.kind is not Kind.EUCLIDEAN:
         raise ValueError("Euclidean solver called on a non-Euclidean space")
-    positions = [pos for pos, _ in distinct_positions(space)]
-    x, _ = solve_strict_rows(space.dim, [(">",) + p.data for p in positions])
-    if x is None:
+    proposal = _perfect_proposal(space.agents)
+    if proposal is None:
         return None
-    proposal = proposal_from_direction(positions, x)
     test = approval_test(space, proposal)
     if not all(test(a) for a in space.agents):
         raise ValueError("the strictly feasible direction lost an agent's approval")
@@ -348,16 +385,7 @@ def solve_euc_subsets(space: DeliberationSpace, limits: SolverLimits = DEFAULT_L
     """Popular proposal by scanning subsets of distinct positions with LPs."""
     if space.kind is not Kind.EUCLIDEAN:
         raise ValueError("Euclidean solver called on a non-Euclidean space")
-    grouped = distinct_positions(space)
-    if len(grouped) > limits.subset_max_groups:
-        raise GuardExceeded(
-            f"{len(grouped)} distinct positions exceed the subset guard ({limits.subset_max_groups})"
-        )
-    positions = [pos for pos, _ in grouped]
-    weights = [w for _, w in grouped]
-    found, work = best_strict_support(positions, weights)
-    kept, _, direction = found
-    proposal = proposal_from_direction([positions[i] for i in kept], direction)
+    proposal, work = _strict_support_proposal(space.agents, limits)
     return _report(space, proposal, Method.EUC_SUBSET_LP, work)
 
 
@@ -482,11 +510,9 @@ def solve_hyp_popular_via_ilp(
     if space.kind is not Kind.HYPERCUBE:
         raise ValueError("hypercube solver called on a non-hypercube space")
     groups = position_groups(space)
-    if len(groups) > limits.ilp_max_groups:
-        raise GuardExceeded(
-            f"{len(groups)} distinct positions exceed the ILP guard ({limits.ilp_max_groups})"
-        )
-    types = sorted(dimension_types(space).items())
+    limits.check("ilp_max_groups", len(groups))
+    by_type = _type_dimensions(space, groups)
+    types = sorted((sig, len(dims)) for sig, dims in by_type.items())
     weights = [w for _, w, _ in groups]
     work = 0
     for weight, kept in _subsets_by_weight_desc(weights):
@@ -495,7 +521,7 @@ def solve_hyp_popular_via_ilp(
         work += 1
         counts = _ilp_feasible(types, len(groups), set(kept))
         if counts is not None:
-            return _report(space, proposal_from_type_counts(space, counts), Method.HYP_TYPE_ILP, work)
+            return _report(space, _proposal_from_types(space, by_type, counts), Method.HYP_TYPE_ILP, work)
     raise AssertionError("some nonempty support is always feasible (self-approval)")
 
 

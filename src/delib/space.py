@@ -117,12 +117,6 @@ class Point:
             if not all(isinstance(c, int) for c in self.data):
                 raise SpaceError("grid coordinates must be integers")
 
-    @property
-    def mask(self) -> int:
-        if self.kind is not Kind.HYPERCUBE:
-            raise KindMismatch("mask is only defined for hypercube points")
-        return self.data
-
     def coords(self) -> tuple:
         """Coordinates as a dense tuple (Fractions for Euclidean points)."""
         if self.kind is Kind.HYPERCUBE:
@@ -281,9 +275,6 @@ class DeliberationSpace:
     @cached_property
     def unit_weights(self) -> bool:
         return all(a.weight == 1 for a in self.agents)
-
-    def status_quo(self) -> Point:
-        return origin(self.kind, self.dim)
 
     def validate_proposal(self, p: Point):
         """Reject proposals outside the space or equal to the status quo."""

@@ -1,9 +1,10 @@
 """CLI output bytes on a fixed corpus, pinned by SHA-256.
 
 The digests pin generated instance files, trace CSVs, ``solve --json``
-reports and the ``verify --what reduction`` summary, so a change to the
-internal point representation, to the dynamics' bookkeeping or to the LP
-core and its pruning cannot alter what the command line writes.
+reports and the ``verify --what reduction`` summaries, so a change to the
+internal point representation, to the dynamics' bookkeeping, to the LP
+core and its pruning or to the hypercube scans cannot alter what the
+command line writes.
 """
 
 import contextlib
@@ -36,6 +37,23 @@ EXPECTED_LP = {
     "euc-8x3-s7-subset-lp.json": "95b5233f18c9f6057bb0afb946086e7e99eee484fb2ab4abd47102c5d9eba62b",
     "euc-8x3-s7-cells.json": "791e4e6bf0609da3103664a81c586d99a2dd5735cb51f9aa463785471eea086d",
     "euc-8x3-greedy-fast.csv": "09bdf4cc0d25a760043fbf943a44fc29175ebc6c266b9b7d2afbc3f8b6be0f44",
+}
+
+EXPECTED_HYP_GRID = {
+    "hyp-8x12.json": "08ae9ddd90fa6f7b66d2c932e8528da08057bd129b9a69b8a9058b51c340475e",
+    "hyp-8x12-brute.json": "dade443e056f9d361e2ec7a0b16d7b0f47d5862469cac1d569d084dfbba5b737",
+    "hyp-8x12-ilp.json": "2226a026ddcc1c3bdbbb73a6166e4b520a58b9e36a89ecc1a488b62f3fdddd01",
+    "hyp-6x10.json": "29690f0ea23caa53a77ba3e1198bde4b8efb57eb90231298c06b69d28cc98acb",
+    "hyp-6x10-random.csv": "f5927ab84b21f626e9ace0fa1322eb1f43b539642eb64370acf0552c23688320",
+    "hyp-6x10-random.txt": "53bd5d5106b7e5c620972f6904b795fd0bf17ac6cf827de29db65d4e981cc7c9",
+    "c4.json": "86b44a00d60b31752dec3220bf8c87a5678de49325050ed7a676ed51b15d1930",
+    "c4-verify.txt": "9e77328d5e5b18f274b813c36155e1db780defe690ac9452ae5b5355edf5a9d1",
+    "grid-12.json": "6bc4bcfe3a33073d66b2b2e6b232799307b90f63c300aa045b4201efcd6ac151",
+    "grid-12-converge.csv": "2c2af0ccd5abafddae98d1f1046b98b1263c05ded22a8fb76d101099822e3d34",
+    "grid-12-solve.json": "3cff499df45a55f9db809518611bc979a5e59878edeb2ea58f2d5db4592f5f98",
+    "grid_nonneg-12.json": "694fd1719fb7dcd918dbc1589a7eaedc18af7612a76f0d044d4687973aadd1fa",
+    "grid_nonneg-12-converge.csv": "371e9155dbfcf172d03f52ed84803f8d2d73a87760b965045f1d0c9a66fa374f",
+    "grid_nonneg-12-solve.json": "e7829b8ee9dc8af1947dc3cfb4967480272c5d7b9b905d8051672af3ae7beee1",
 }
 
 
@@ -88,6 +106,41 @@ def build_lp_corpus(tmp) -> dict[str, bytes]:
     return outputs
 
 
+def build_hyp_grid_corpus(tmp) -> dict[str, bytes]:
+    """Hypercube solves, dynamics and unanimity; grid convergence and solves."""
+    outputs = {}
+
+    def run(*argv, stdout_name=None):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([str(a) for a in argv])
+        assert code == 0, argv
+        if stdout_name:
+            outputs[stdout_name] = out.getvalue().encode()
+
+    hyp = tmp / "hyp-8x12.json"
+    run("generate", "--family", "random", "--kind", "hypercube", "--n", 8, "--d", 12, "--seed", 2, "--out", hyp)
+    for method in ("brute", "ilp"):
+        run("solve", "--space", hyp, "--method", method, "--json", tmp / f"hyp-8x12-{method}.json")
+    small = tmp / "hyp-6x10.json"
+    run("generate", "--family", "random", "--kind", "hypercube", "--n", 6, "--d", 10, "--seed", 4, "--out", small)
+    run("simulate", "--space", small, "--scheduler", "random", "--seed", 2, "--trace", tmp / "hyp-6x10-random.csv",
+        stdout_name="hyp-6x10-random.txt")
+    graph = tmp / "c4.txt"
+    graph.write_text("p 4 4\n1 2\n2 3\n3 4\n4 1\n")
+    run("reduce", "--from", "indep-set", "--in", graph, "--kappa", 2, "--out", tmp / "c4.json")
+    run("verify", "--what", "reduction", "--in", f"{tmp / 'c4.json'}.cert.json", stdout_name="c4-verify.txt")
+    for kind in ("grid", "grid_nonneg"):
+        inst = tmp / f"{kind}-12.json"
+        run("generate", "--family", "random", "--kind", kind, "--n", 12, "--seed", 3, "--out", inst)
+        run("simulate", "--space", inst, "--scheduler", "grid-converge", "--trace", tmp / f"{kind}-12-converge.csv")
+        run("solve", "--space", inst, "--json", tmp / f"{kind}-12-solve.json")
+    for name in EXPECTED_HYP_GRID:
+        if name not in outputs:
+            outputs[name] = (tmp / name).read_bytes()
+    return outputs
+
+
 def _digests(outputs):
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
@@ -98,3 +151,7 @@ def test_cli_outputs_are_byte_identical(tmp_path):
 
 def test_lp_outputs_are_byte_identical(tmp_path):
     assert _digests(build_lp_corpus(tmp_path)) == EXPECTED_LP
+
+
+def test_hypercube_and_grid_outputs_are_byte_identical(tmp_path):
+    assert _digests(build_hyp_grid_corpus(tmp_path)) == EXPECTED_HYP_GRID

@@ -28,7 +28,7 @@ from delib.dynamics import (
 from delib import dynamics
 from delib.generators import gen_euc_slow, gen_hyp_slow, gen_random
 from delib.grid import grid_converge
-from delib.solvers import solve_euc_subsets
+from delib.solvers import GuardExceeded, SolverLimits, solve_euc_subsets
 from delib.space import (
     Agent,
     DeliberationSpace,
@@ -254,6 +254,35 @@ class TestFindKCompromise:
                     space, singleton_structure(space), res.transition, 2
                 )
                 assert ok, reason
+
+    def test_hypercube_guard(self):
+        # Both agents approve the all-ones proposal, so at the limit the pair merges.
+        limits = SolverLimits(hyp_brute_max_dim=6)
+        for d in (6, 7):
+            agents = (Agent(hypercube_point([1] * d)), Agent(hypercube_point([1] * (d - 1) + [0])))
+            space = DeliberationSpace(Kind.HYPERCUBE, d, agents)
+            if d > 6:
+                with pytest.raises(GuardExceeded, match=r"^brute force over 2\^7 proposals exceeds the guard \(d <= 6\)$"):
+                    find_k_compromise(space, singleton_structure(space), 2, limits=limits)
+            else:
+                res = find_k_compromise(space, singleton_structure(space), 2, limits=limits)
+                assert res.status is SearchStatus.FOUND and res.work == 2 ** 6 - 1
+
+    def test_euclidean_guard(self):
+        # Every agent at (1, y) approves (1, 0), so two coalitions can hold
+        # any number of distinct positions; their union is what the guard counts.
+        limits = SolverLimits(subset_max_groups=5)
+        for count in (5, 6):
+            space = euc_space([[1, y] for y in range(count)])
+            structure = structure_of(
+                space, [(range(3), euclidean_point([1, 0])), (range(3, count), euclidean_point([1, 0]))]
+            )
+            if count > 5:
+                with pytest.raises(GuardExceeded, match=r"^6 distinct positions exceed the subset guard \(5\)$"):
+                    find_k_compromise(space, structure, 2, limits=limits)
+            else:
+                res = find_k_compromise(space, structure, 2, limits=limits)
+                assert res.status is SearchStatus.FOUND and len(res.transition.new_members) == 5
 
 
 class TestAdversarialScheduler:

@@ -13,14 +13,8 @@ from delib.dynamics import (
     is_successful,
 )
 from delib.generators import gen_random
-from delib.grid import (
-    GridVariant,
-    canonical_support_targets,
-    grid_converge,
-    grid_popular_bruteforce,
-    pull_toward_origin,
-    variant_of,
-)
+from delib.grid import grid_converge, grid_popular_bruteforce, pull_toward_origin
+from delib.solvers import grid_targets
 from delib.space import Agent, DeliberationSpace, Kind, approves, grid_point, score
 
 
@@ -91,8 +85,8 @@ class TestPull:
 
 class TestTargets:
     def test_counts(self):
-        assert len(canonical_support_targets(GridVariant.NONNEGATIVE)) == 2
-        assert len(canonical_support_targets(GridVariant.FULL)) == 4
+        assert len(grid_targets(True)) == 2
+        assert len(grid_targets(False)) == 4
 
     def test_diagonal_exclusivity(self):
         diagonals = [grid_point(1, 1), grid_point(1, -1), grid_point(-1, 1), grid_point(-1, -1)]
@@ -116,7 +110,7 @@ class TestTargets:
                 2,
                 seed=rng.randrange(2 ** 30),
             )
-            targets = canonical_support_targets(variant_of(space))
+            targets = grid_targets(space.grid_nonneg)
             best_target = max(score(space, t) for t in targets)
             assert best_target == local_window_popular(space), trial
 

@@ -1,13 +1,16 @@
 """Instance file round-trips and the command-line surface."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delib import instancefile
 from delib.cli import main
-from delib.dynamics import Coalition, CoalitionStructure
+from delib.dynamics import Coalition, CoalitionStructure, singleton_structure
 from delib.generators import gen_euc_slow, gen_random
 from delib.instancefile import Instance, InstanceFormatError
 from delib.space import Agent, DeliberationSpace, Kind, euclidean_point
@@ -64,6 +67,27 @@ class TestRoundTrip:
             instancefile.loads(
                 '{"version": 2, "kind": "euclidean", "d": 1, "agents": [{"coords": ["1"], "weight": "1"}]}'
             )
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc["agents"][1].pop("coords"),
+            lambda doc: doc.update(agents={"0": doc["agents"][0]}),
+            lambda doc: doc.update(agents=[doc["agents"][0], 7]),
+            lambda doc: doc["structure"][0].pop("members"),
+            lambda doc: doc.update(structure={"members": [0]}),
+            lambda doc: doc["structure"][0].update(members=[]),
+            lambda doc: doc.update(kind=["grid"]),
+            lambda doc: doc.update(meta=[1]),
+            lambda doc: doc["agents"][0].update(weight=None),
+        ],
+    )
+    def test_malformed_entries_rejected(self, damage):
+        space = gen_random("grid", 3, 2, seed=4)
+        doc = instancefile.to_document(Instance(space, singleton_structure(space)))
+        damage(doc)
+        with pytest.raises(InstanceFormatError):
+            instancefile.from_document(doc)
 
     def test_invalid_structure_rejected(self):
         fam = gen_euc_slow(2)
@@ -181,6 +205,54 @@ class TestCli:
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 3 1\n1 2 3\n")
         assert run_cli("reduce", "--from", "3sat", "--in", str(bad), "--out", str(tmp_path / "o.json")) == 6
+        bad.write_text("p cnf 3 1\n1 x 3 0\n")
+        assert run_cli("reduce", "--from", "3sat", "--in", str(bad), "--out", str(tmp_path / "o.json")) == 6
+        bad.write_text("p 3 1\n1 x\n")
+        out = str(tmp_path / "o.json")
+        assert run_cli("reduce", "--from", "indep-set", "--in", str(bad), "--kappa", "1", "--out", out) == 6
+
+    def test_malformed_instance_exit(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        good = instancefile.to_document(Instance(gen_random("grid", 3, 2, seed=4)))
+        for damage in (
+            lambda doc: doc["agents"][1].pop("coords"),
+            lambda doc: doc.update(agents={"0": doc["agents"][0]}),
+            lambda doc: doc.update(structure=[{"proposal": [1, 0]}]),
+        ):
+            doc = json.loads(json.dumps(good))
+            damage(doc)
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run_cli("solve", "--space", str(path)) == 6
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: cannot load instance: ") and err.count("\n") == 1
+
+    def test_malformed_trace_row(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("step,ell,participant_sizes,new_size,phi_before,phi_after\n0,2,1+1,x,3,4\n")
+        assert run_cli("verify", "--what", "trace", "--in", str(trace)) == 1
+        assert capsys.readouterr() == ("first_violation=row 0: malformed\n", "")
+
+    def test_simulate_guard_messages(self, tmp_path, capsys):
+        hyp = tmp_path / "h.json"
+        run_cli("generate", "--family", "random", "--kind", "hypercube",
+                "--n", "3", "--d", "30", "--seed", "2", "--out", str(hyp))
+        # Every agent at (1, y) approves (1, 0): two coalitions over 23 positions.
+        space = DeliberationSpace(Kind.EUCLIDEAN, 2, tuple(Agent(euclidean_point([1, y])) for y in range(23)))
+        structure = CoalitionStructure(
+            (Coalition(frozenset(range(12)), euclidean_point([1, 0])),
+             Coalition(frozenset(range(12, 23)), euclidean_point([1, 0])))
+        )
+        euc = tmp_path / "e.json"
+        instancefile.save(Instance(space, structure), str(euc))
+        capsys.readouterr()
+        assert run_cli("simulate", "--space", str(hyp), "--scheduler", "random") == 3
+        assert run_cli("simulate", "--space", str(euc), "--scheduler", "random") == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: brute force over 2^30 proposals exceeds the guard (d <= 26)\n"
+            "error: 23 distinct positions exceed the subset guard (22)\n",
+        )
 
     def test_trace_verify_catches_tampering(self, tmp_path):
         euc = tmp_path / "euc.json"
@@ -230,3 +302,81 @@ class TestCli:
         out = capsys.readouterr().out
         steps = int(out.split("steps=")[1].split()[0])
         assert steps <= 26 and "successful=yes" in out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the input boundaries: only the documented exit codes, no traceback.
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=4)
+    | st.sampled_from(["1/2", "-1", "0", "3", "x", "1/0"]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _documents(draw):
+    """A small valid instance document with up to three fields replaced or deleted."""
+    kind = draw(st.sampled_from(["hypercube", "euclidean", "grid", "grid_nonneg"]))
+    d = 2 if kind.startswith("grid") else draw(st.integers(1, 4))
+    space = gen_random(kind, draw(st.integers(1, 5)), d, seed=draw(st.integers(0, 99)))
+    doc = instancefile.to_document(Instance(space, singleton_structure(space) if draw(st.booleans()) else None))
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            if isinstance(node, dict) and draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(_json_values)
+            break
+    return doc
+
+
+_field = st.text(st.sampled_from("0123456789+-x ") | st.characters(blacklist_categories=("Cs",)), max_size=4)
+_trace_rows = st.lists(st.sampled_from(["0", "1", "2", "3", "1+1", "2+1", ""]) | _field, min_size=6, max_size=6).map(
+    ",".join
+) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+
+
+def _run_captured(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_documents().map(json.dumps), st.text(max_size=40)))
+    def test_loads_raises_only_format_errors(self, text):
+        try:
+            inst = instancefile.loads(text)
+        except InstanceFormatError as exc:
+            assert "\n" not in str(exc)
+        else:
+            text = instancefile.dumps(inst)
+            assert instancefile.dumps(instancefile.loads(text)) == text
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_documents())
+    def test_solve_exits_with_documented_codes(self, tmp_path, doc):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = _run_captured("solve", "--space", path)
+        assert code in (0, 3, 6)
+        assert err.count("\n") == (code != 0)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_trace_rows, max_size=4))
+    def test_trace_rows_exit_with_documented_codes(self, tmp_path, rows):
+        path = tmp_path / "fuzz.csv"
+        path.write_text("\n".join(["step,ell,participant_sizes,new_size,phi_before,phi_after"] + rows) + "\n", encoding="utf-8")
+        code, out, err = _run_captured("verify", "--what", "trace", "--in", path)
+        assert err == ""
+        assert (code, out.startswith("result=pass")) in ((0, True), (1, False))
+        assert code == 0 or out.startswith("first_violation=")

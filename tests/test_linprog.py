@@ -3,81 +3,50 @@
 For planar homogeneous systems, strict feasibility has an independent exact
 answer via an angular sweep with symbolic perturbation; the LP must agree
 with it on random instances.  The integer-row entry point must return either
-a witness or an infeasibility certificate that checks out in plain
-Fractions, and the same witness as the Fraction entry point.
+a witness that satisfies every row or an infeasibility certificate that
+checks out in plain Fractions.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from delib import linprog
-from delib.linprog import (
-    LinearSystem,
-    MalformedSystem,
-    Row,
-    make_system,
-    solve_lp_feasible_strict,
-    solve_strict_rows,
-)
+from delib.linprog import solve_strict_rows
 from delib.space import euclidean_point
 
 
-def check_solution(system, x):
-    for row in system.rows:
-        val = sum(c * xi for c, xi in zip(row.coeffs, x))
-        if row.relation == "<=":
-            assert val <= row.rhs
-        elif row.relation == ">=":
-            assert val >= row.rhs
-        elif row.relation == "=":
-            assert val == row.rhs
-        else:
-            assert val > row.rhs
+def dense_rows(rows):
+    """Integer rows from ``(relation, dense normal)`` pairs."""
+    return [(rel,) + euclidean_point(v).data for rel, v in rows]
+
+
+def check_solution(rows, x):
+    for rel, v in rows:
+        value = sum(Fraction(c) * xi for c, xi in zip(v, x))
+        assert value > 0 if rel == ">" else value <= 0
 
 
 class TestBasics:
     def test_single_strict(self):
-        sys_ = make_system(1, [((1,), ">", 0)])
-        x = solve_lp_feasible_strict(sys_)
+        x, _ = solve_strict_rows(1, dense_rows([(">", (1,))]))
         assert x is not None and x[0] > 0
 
     def test_antipodal_infeasible(self):
-        sys_ = make_system(2, [((1, 0), ">", 0), ((-1, 0), ">", 0)])
-        assert solve_lp_feasible_strict(sys_) is None
+        x, y = solve_strict_rows(2, dense_rows([(">", (1, 0)), (">", (-1, 0))]))
+        assert x is None and y == (1, 1)
 
     def test_two_basis_directions(self):
-        sys_ = make_system(2, [((1, 0), ">", 0), ((0, 1), ">", 0)])
-        x = solve_lp_feasible_strict(sys_)
-        check_solution(sys_, x)
-
-    def test_mixed_relations(self):
-        sys_ = make_system(
-            2, [((2, 0), "=", 1), ((0, 1), ">", 0), ((1, 1), "<=", 1)]
-        )
-        x = solve_lp_feasible_strict(sys_)
-        assert x is not None and x[0] == Fraction(1, 2)
-        check_solution(sys_, x)
-
-    def test_equalities_can_be_infeasible(self):
-        sys_ = make_system(1, [((1,), "=", Fraction(1, 4)), ((1,), "=", Fraction(1, 2))])
-        assert solve_lp_feasible_strict(sys_) is None
+        rows = [(">", (1, 0)), (">", (0, 1))]
+        x, _ = solve_strict_rows(2, dense_rows(rows))
+        check_solution(rows, x)
 
     def test_weak_rows_only(self):
         # no strict rows: any point of the weak system qualifies
-        sys_ = make_system(1, [((1,), ">=", 0)])
-        x = solve_lp_feasible_strict(sys_)
+        x, _ = solve_strict_rows(1, dense_rows([("<=", (-1,))]))
         assert x is not None and x[0] >= 0
-        sys_ = make_system(1, [((1,), ">=", 1), ((1,), "<=", Fraction(1, 2))])
-        assert solve_lp_feasible_strict(sys_) is None
-
-    def test_row_shape_checked(self):
-        with pytest.raises(MalformedSystem):
-            LinearSystem(2, (Row((Fraction(1),), "<=", Fraction(0)),))
-        with pytest.raises(MalformedSystem):
-            make_system(1, [((1,), "<", 0)])
 
 
 def _sweep_feasible_2d(normals):
@@ -129,27 +98,31 @@ class TestAgainstPlanarSweep:
 
 class TestScaleAndBox:
     def test_solution_lies_in_unit_box(self):
-        sys_ = make_system(2, [((1, 3), ">", 0), ((2, -1), ">", 0)])
-        x = solve_lp_feasible_strict(sys_)
+        rows = [(">", (1, 3)), (">", (2, -1))]
+        x, _ = solve_strict_rows(2, dense_rows(rows))
+        check_solution(rows, x)
         assert all(-1 <= xi <= 1 for xi in x)
 
     def test_scaling_normals_preserves_feasibility(self):
-        rows = [((3, 5, -1), ">", 0), ((-2, 1, 1), ">", 0), ((0, 1, 4), ">", 0)]
-        scaled = [(tuple(Fraction(7, 3) * Fraction(c) for c in r[0]), r[1], 0) for r in rows]
-        a = solve_lp_feasible_strict(make_system(3, rows))
-        b = solve_lp_feasible_strict(make_system(3, scaled))
+        # Rows need not be in canonical form: scaling q and N by different
+        # positive integers rescales the normal and keeps the answer.
+        rows = dense_rows([(">", (3, 5, -1)), (">", (-2, 1, 1)), (">", (0, 1, 4))])
+        scaled = [(rel, 3 * q, tuple((j, 7 * c) for j, c in pairs)) for rel, q, pairs in rows]
+        a, _ = solve_strict_rows(3, rows)
+        b, _ = solve_strict_rows(3, scaled)
         assert (a is None) == (b is None)
 
 
 def test_big_degenerate_system():
-    # many duplicate and opposite rows; must stay exact and terminate (Bland)
+    # many duplicate rows; must stay exact and terminate (Bland)
     rows = []
     for _ in range(8):
-        rows.append(((1, 1), ">", 0))
-        rows.append(((1, 0), ">=", 0))
-        rows.append(((0, 1), "<=", 1))
-    x = solve_lp_feasible_strict(make_system(2, rows))
+        rows.append((">", (1, 1)))
+        rows.append(("<=", (-1, 0)))
+        rows.append(("<=", (0, 1)))
+    x, _ = solve_strict_rows(2, dense_rows(rows))
     assert x is not None and x[0] + x[1] > 0
+    check_solution(rows, x)
 
 
 def homogeneous_systems():
@@ -166,15 +139,15 @@ class TestIntegerRows:
     @given(homogeneous_systems())
     def test_witness_or_verified_certificate(self, system):
         d, normals = system
-        rows = [(rel,) + euclidean_point(v).data for rel, v in normals]
+        rows = dense_rows(normals)
+        for (_, q, pairs), (_, v) in zip(rows, normals):
+            # A point's (q, N) is its normal scaled by the lcm of the denominators.
+            scale = lcm(1, *(c.denominator for c in v))
+            assert (q, pairs) == (scale, tuple((j, int(c * scale)) for j, c in enumerate(v) if c))
         x, y = solve_strict_rows(d, rows)
         assert (x is None) != (y is None)
-        same = solve_lp_feasible_strict(make_system(d, [(v, rel, 0) for rel, v in normals]))
-        assert x == same
         if x is not None:
-            for rel, v in normals:
-                value = sum(a * b for a, b in zip(v, x))
-                assert value > 0 if rel == ">" else value <= 0
+            check_solution(normals, x)
             return
         # Motzkin: sum_> y_i q_i v_i - sum_<= y_i q_i v_i = 0, y >= 0, some strict y_i > 0.
         assert len(y) == len(rows) and all(v >= 0 for v in y)
@@ -189,8 +162,8 @@ class TestIntegerRows:
     def test_canonical_point_is_the_scaled_row(self):
         v = (Fraction(3, 4), Fraction(0), Fraction(-1, 6))
         assert euclidean_point(v).data == (12, ((0, 9), (2, -2)))
-        rows = [(">",) + euclidean_point(v).data]
-        assert solve_strict_rows(3, rows)[0] == solve_lp_feasible_strict(make_system(3, [(v, ">", 0)]))
+        x, _ = solve_strict_rows(3, dense_rows([(">", v)]))
+        check_solution([(">", v)], x)
 
     def test_unverified_multipliers_are_dropped(self, monkeypatch):
         rows = [(">", 1, ((0, 1),)), (">", 1, ((0, -1),))]

@@ -13,7 +13,7 @@ import pytest
 
 from delib import solvers
 from delib.generators import gen_euc_slow, gen_hyp_slow, gen_random, reduce_3sat_to_euc, reduce_is_to_hyp
-from delib.linprog import make_system, solve_lp_feasible_strict
+from delib.linprog import solve_strict_rows
 from delib.solvers import (
     GuardExceeded,
     Method,
@@ -135,9 +135,18 @@ class TestHypBruteforce:
         assert report.best_proposal.coords() == (0, 1)
 
     def test_guard(self):
-        space = hyp_space([[1] + [0] * 29])
-        with pytest.raises(GuardExceeded):
-            solve_hyp_bruteforce(space, SolverLimits(hyp_brute_max_dim=26))
+        limits = SolverLimits(hyp_brute_max_dim=6)
+        assert solve_hyp_bruteforce(hyp_space([[1] + [0] * 5]), limits).best_score == 1
+        with pytest.raises(GuardExceeded, match=r"^brute force over 2\^7 proposals exceeds the guard \(d <= 6\)$"):
+            solve_hyp_bruteforce(hyp_space([[1] + [0] * 6]), limits)
+        with pytest.raises(GuardExceeded, match=r"^brute force over 2\^30 proposals exceeds the guard \(d <= 26\)$"):
+            solve_hyp_bruteforce(hyp_space([[1] + [0] * 29]))
+
+    def test_unanimity_guard(self):
+        limits = SolverLimits(hyp_brute_max_dim=6)
+        assert hyp_unanimous_proposal(hyp_space([[1] + [0] * 5]), limits) is not None
+        with pytest.raises(GuardExceeded, match=r"^brute force over 2\^7 proposals exceeds the guard \(d <= 6\)$"):
+            hyp_unanimous_proposal(hyp_space([[1] + [0] * 6]), limits)
 
     def test_report_consistency(self):
         space = gen_hyp_slow(3).space
@@ -179,9 +188,17 @@ class TestTypeIlp:
 
     def test_guard(self):
         space = gen_random("hypercube", 11, 12, seed=1)
-        if len({a.position for a in space.agents}) > 10:
-            with pytest.raises(GuardExceeded):
-                solve_hyp_popular_via_ilp(space)
+        assert len(distinct_positions(space)) == 11
+        message = r"^11 distinct positions exceed the ILP guard \(10\)$"
+        with pytest.raises(GuardExceeded, match=message):
+            solve_hyp_popular_via_ilp(space)
+        with pytest.raises(GuardExceeded, match=message):
+            solve_hyp_type_ilp(space, [0])
+        at_limit = DeliberationSpace(Kind.HYPERCUBE, 12, space.agents[:10])
+        assert len(distinct_positions(at_limit)) == 10
+        report = solve_hyp_popular_via_ilp(at_limit)
+        assert report.best_score == solve_hyp_bruteforce(at_limit).best_score
+        assert solve_hyp_type_ilp(at_limit, report.supporters) is not None
 
 
 class TestHypOracleAgreement:
@@ -231,9 +248,10 @@ class TestEucSubsets:
         assert report.best_score == 2
 
     def test_guard(self):
-        space = gen_euc_slow(8).space
-        with pytest.raises(GuardExceeded):
-            solve_euc_subsets(space, SolverLimits(subset_max_groups=4))
+        limits = SolverLimits(subset_max_groups=4)
+        assert solve_euc_subsets(gen_euc_slow(4).space, limits).best_score == 4
+        with pytest.raises(GuardExceeded, match=r"^5 distinct positions exceed the subset guard \(4\)$"):
+            solve_euc_subsets(gen_euc_slow(5).space, limits)
 
 
 class TestEucCells:
@@ -258,7 +276,7 @@ class TestEucCells:
 
 
 def unpruned_strict_support(positions, weights, stop_below=None):
-    """best_strict_support without certificates: one Fraction LP per subset."""
+    """best_strict_support without certificates: one LP per subset."""
     work = 0
     for weight, kept in solvers._subsets_by_weight_desc(weights):
         if not kept:
@@ -266,8 +284,7 @@ def unpruned_strict_support(positions, weights, stop_below=None):
         if stop_below is not None and weight <= stop_below:
             return None, work
         work += 1
-        rows = [(positions[i].coords(), ">", 0) for i in kept]
-        x = solve_lp_feasible_strict(make_system(positions[0].dim, rows))
+        x, _ = solve_strict_rows(positions[0].dim, [(">",) + positions[i].data for i in kept])
         if x is not None:
             return (kept, weight, x), work
     return None, work
@@ -275,19 +292,19 @@ def unpruned_strict_support(positions, weights, stop_below=None):
 
 def unpruned_cells(positions):
     """solve_euc_cells' pattern scan without certificates: (final patterns, work)."""
-    vectors = [p.coords() for p in positions]
-    d = len(vectors[0])
+    d = positions[0].dim
     work = 0
     patterns = [((), (Fraction(0),) * d)]
-    for v in vectors:
+    for pos in positions:
+        v = pos.coords()
         extended = []
         for flags, witness in patterns:
             free_plus = sum(a * b for a, b in zip(v, witness)) > 0
             extended.append((flags + (free_plus,), witness))
-            rows = [(vectors[j], ">" if f else "<=", 0) for j, f in enumerate(flags)]
-            rows.append((v, "<=" if free_plus else ">", 0))
+            rows = [(">" if f else "<=",) + positions[j].data for j, f in enumerate(flags)]
+            rows.append(("<=" if free_plus else ">",) + pos.data)
             work += 1
-            x = solve_lp_feasible_strict(make_system(d, rows))
+            x, _ = solve_strict_rows(d, rows)
             if x is not None:
                 extended.append((flags + (not free_plus,), x))
         patterns = extended
