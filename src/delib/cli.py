@@ -305,7 +305,7 @@ def _verify_trace(args) -> int:
         try:
             sizes = [int(s) for s in sizes_s.split("+")] if sizes_s else []
             step, ell, new_size = int(step), int(ell), int(new_size)
-            before, after = (int(phi_b), int(phi_a)) if phi_b and phi_a else (None, None)
+            before, after = (int(phi_b), int(phi_a)) if phi_b or phi_a else (None, None)
         except ValueError:
             print(f"first_violation=row {lineno}: malformed")
             return EXIT_VERIFY_FAIL

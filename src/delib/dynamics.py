@@ -3,9 +3,7 @@
 A transition dissolves up to ``k`` coalitions into a new one consisting of
 exactly the participants' members who approve the chosen proposal, which
 must be strictly heavier than every participating coalition; dissenters stay
-behind under their old proposals.  Searching for a transition is hard in
-general, so the search is budgeted and reports ``unknown`` rather than
-claiming terminality it has not established.
+behind under their old proposals.
 
 Single-coalition "transitions" are vacuous (strict growth inside a subset of
 one coalition is impossible) and are never searched.
@@ -13,7 +11,6 @@ one coalition is impossible) and are never searched.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import random
 from dataclasses import dataclass
@@ -89,7 +86,7 @@ def singleton_structure(space: DeliberationSpace) -> CoalitionStructure:
 def coalition_weight(space: DeliberationSpace, members) -> Fraction | int:
     """Total weight; plain int on unit-weight spaces (compares fine with Fractions)."""
     if space.unit_weights:
-        return len(members) if hasattr(members, "__len__") else sum(1 for _ in members)
+        return len(members)
     return sum((space.agents[i].weight for i in members), _ZERO)
 
 
@@ -163,14 +160,9 @@ def apply_transition(
     space: DeliberationSpace,
     structure: CoalitionStructure,
     t: Transition,
-    k: int | None = None,
 ) -> CoalitionStructure:
     """New structure: survivors keep their order, then the new coalition, then
     non-empty leftovers in participant order."""
-    if k is not None:
-        ok, reason = validate_transition(space, structure, t, k)
-        if not ok:
-            raise DynamicsError(f"invalid transition: {reason}")
     part = set(t.participants)
     out = [c for j, c in enumerate(structure.coalitions) if j not in part]
     out.append(Coalition(t.new_members, t.new_proposal))
@@ -213,19 +205,6 @@ def potential_change(space: DeliberationSpace, structure: CoalitionStructure, t:
 # Searching for compromises.
 
 
-class SearchStatus(enum.Enum):
-    FOUND = "found"
-    TERMINAL = "terminal"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    status: SearchStatus
-    transition: Transition | None = None
-    work: int = 0
-
-
 def _participant_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
     for ell in range(2, min(k, m) + 1):
         yield from itertools.combinations(range(m), ell)
@@ -236,7 +215,7 @@ def _best_candidate_for(
     structure: CoalitionStructure,
     subset: tuple[int, ...],
     limits: SolverLimits,
-) -> tuple[Transition | None, int]:
+) -> Transition | None:
     """Canonical candidate: the heaviest approvable member set within the
     union of the participants.  Valid iff it strictly outweighs every
     participant; when it does not, no transition exists for this subset."""
@@ -250,15 +229,14 @@ def _best_candidate_for(
         limits.check("hyp_brute_max_dim", space.dim)
         masks = [(space.agents[i].position.data, space.agents[i].weight) for i in union]
         best_mask, best_w = solvers._heaviest_mask(masks, space.dim)
-        work = (1 << space.dim) - 1
         if best_w <= max_part:
-            return None, work
+            return None
         proposal = hypercube_point(best_mask, space.dim)
     elif space.kind is Kind.EUCLIDEAN:
         agents = [space.agents[i] for i in union]
-        proposal, work = solvers._strict_support_proposal(agents, limits, stop_below=max_part)
+        proposal, _ = solvers._strict_support_proposal(agents, limits, stop_below=max_part)
         if proposal is None:
-            return None, work
+            return None
     else:
         candidates = list(solvers.grid_targets(space.grid_nonneg))
         candidates += [structure.coalitions[j].proposal for j in subset]
@@ -268,40 +246,10 @@ def _best_candidate_for(
             w = sum((space.agents[i].weight for i in union if test(space.agents[i])), _ZERO)
             if best is None or w > best_w:
                 best, best_w = p, w
-        work = len(candidates)
         if best_w <= max_part:
-            return None, work
+            return None
         proposal = best
-
-    t = build_transition(space, structure, subset, proposal)
-    ok, reason = validate_transition(space, structure, t, k=len(subset))
-    if not ok:
-        raise AssertionError(f"canonical candidate failed validation: {reason}")
-    return t, work
-
-
-def find_k_compromise(
-    space: DeliberationSpace,
-    structure: CoalitionStructure,
-    k: int,
-    search_budget: int | None = None,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> SearchResult:
-    """First valid transition under the deterministic subset order.
-
-    The per-subset candidate is complete: if any transition exists for a
-    participant set, the heaviest-support candidate is one.  Exhausting the
-    budget yields ``unknown``, never a silent ``terminal``.
-    """
-    work = 0
-    for subset in _participant_subsets(len(structure), k):
-        if search_budget is not None and work >= search_budget:
-            return SearchResult(SearchStatus.UNKNOWN, None, work)
-        t, spent = _best_candidate_for(space, structure, subset, limits)
-        work += spent
-        if t is not None:
-            return SearchResult(SearchStatus.FOUND, t, work)
-    return SearchResult(SearchStatus.TERMINAL, None, work)
+    return build_transition(space, structure, subset, proposal)
 
 
 def enumerate_compromises(
@@ -310,10 +258,16 @@ def enumerate_compromises(
     k: int,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> list[Transition]:
-    """The canonical candidate of every participant subset that admits one."""
+    """The canonical candidate of every participant subset that admits one.
+
+    Subsets come in a fixed order (by size, then lexicographic), and the
+    per-subset candidate is complete: if any transition exists for a
+    participant set, its candidate is one.  An empty list therefore
+    certifies k-terminality.
+    """
     out = []
     for subset in _participant_subsets(len(structure), k):
-        t, _ = _best_candidate_for(space, structure, subset, limits)
+        t = _best_candidate_for(space, structure, subset, limits)
         if t is not None:
             out.append(t)
     return out
@@ -477,12 +431,8 @@ class Trace:
     scheduler: str
     seed: int
     final: CoalitionStructure
+    total_steps: int  # equals len(steps) unless step recording was off
     notes: tuple[str, ...] = ()
-    total_steps: int = -1  # equals len(steps) unless step recording was off
-
-    def __post_init__(self):
-        if self.total_steps < 0:
-            object.__setattr__(self, "total_steps", len(self.steps))
 
 
 TRACE_CSV_HEADER = "step,ell,participant_sizes,new_size,phi_before,phi_after"
@@ -505,7 +455,6 @@ def run_deliberation(
     scheduler: Scheduler,
     k: int,
     seed: int = 0,
-    max_steps: int | None = None,
     record_steps: bool = True,
 ) -> Trace:
     """Apply scheduler-chosen transitions until none remains.
@@ -520,9 +469,7 @@ def run_deliberation(
     validate_structure(space, initial)
     rng = random.Random(seed)
     integer_weights = all(a.weight.denominator == 1 for a in space.agents)
-    cap = max_steps
-    if cap is None and integer_weights:
-        cap = k ** space.n + 1
+    cap = k ** space.n + 1 if integer_weights else None
     structure = initial
     steps: list[TraceStep] = []
     count = 0
@@ -549,7 +496,7 @@ def run_deliberation(
     if k == 2 and integer_weights and count > 2 ** space.n:
         raise DynamicsError("2-deliberations halt within 2^n transitions; this is a bug")
     terminal = scheduler.complete or len(structure) == 1
-    return Trace(tuple(steps), terminal, scheduler.name, seed, structure, (), count)
+    return Trace(tuple(steps), terminal, scheduler.name, seed, structure, count)
 
 
 def is_successful(

@@ -13,6 +13,7 @@ is recorded in the trace notes and excluded from the transition count.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
@@ -21,22 +22,16 @@ from .dynamics import (
     Coalition,
     CoalitionStructure,
     DynamicsError,
+    Scheduler,
     Trace,
-    TraceStep,
-    Transition,
-    apply_transition,
     build_transition,
     is_successful,
-    potential,
-    potential_change,
+    run_deliberation,
     singleton_structure,
     validate_structure,
-    validate_transition,
 )
-from .solvers import grid_targets
+from .solvers import grid_targets, solve_grid_four
 from .space import DeliberationSpace, Kind, Point, approval_test, grid_point, score
-
-_ZERO = Fraction(0)
 
 
 def _sign(v: int) -> int:
@@ -95,6 +90,55 @@ def grid_popular_bruteforce(space: DeliberationSpace, expand: int = 1) -> tuple[
     return best, best_score
 
 
+class _GridScheduler(Scheduler):
+    """Merge same-target coalitions, then one compromise onto ``best``.
+
+    Merges are plain 2-compromises, always the first two coalitions of the
+    target that appears first.  Coalitions carry increasing ids in structure
+    order (a merged one is appended with a fresh id), so a coalition's index
+    is its id's rank among the live ids and no merge rescans the structure.
+    The ids assume every transition returned is applied, as
+    :func:`run_deliberation` does.
+    """
+
+    name = "grid-converge"
+
+    def __init__(self, structure: CoalitionStructure, best: Point, popular_score: Fraction):
+        self.best, self.popular_score = best, popular_score
+        self.live = list(range(len(structure)))
+        self.by_target: dict[Point, list[int]] = {}
+        for i, c in enumerate(structure.coalitions):
+            self.by_target.setdefault(c.proposal, []).append(i)
+        self.fresh_ids = itertools.count(len(structure))
+        self.finished = False
+
+    def __call__(self, space, structure, k, rng):
+        if self.finished:
+            return None
+        ready = [ids for ids in self.by_target.values() if len(ids) >= 2]
+        if ready:
+            ids = min(ready, key=lambda group: group[0])
+            i, j = bisect_left(self.live, ids[0]), bisect_left(self.live, ids[1])
+            t = build_transition(space, structure, (i, j), structure.coalitions[i].proposal)
+            if any(rest for _, rest in t.leftovers):
+                raise DynamicsError("a relabelled coalition holds a member who does not approve its target")
+            del self.live[j], self.live[i], ids[:2]
+            new_id = next(self.fresh_ids)
+            self.live.append(new_id)
+            ids.append(new_id)
+            return t
+        self.finished = True
+        if is_successful(space, structure, self.popular_score):
+            return None
+        test = approval_test(space, self.best)
+        participants = tuple(
+            j
+            for j, c in enumerate(structure.coalitions)
+            if any(test(space.agents[i]) for i in c.members)
+        )
+        return build_transition(space, structure, participants, self.best)
+
+
 def grid_converge(
     space: DeliberationSpace, initial: CoalitionStructure | None = None
 ) -> Trace:
@@ -104,16 +148,13 @@ def grid_converge(
     notes), merge same-target coalitions, then make one compromise onto the
     most approved target; on the non-negative quadrant every transition is a
     2-compromise, on the full grid the last one involves at most three
-    coalitions.
+    coalitions.  The transitions are played through :func:`run_deliberation`.
     """
     if space.kind is not Kind.GRID:
         raise ValueError("grid convergence needs a grid space")
     structure = initial if initial is not None else singleton_structure(space)
     validate_structure(space, structure)
-    k_needed = 2 if space.grid_nonneg else 3
     notes: list[str] = []
-    integer_weights = all(a.weight.denominator == 1 for a in space.agents)
-
     relabeled = []
     for i, c in enumerate(structure.coalitions):
         target = _canonical_target(space, c)
@@ -122,71 +163,11 @@ def grid_converge(
         relabeled.append(Coalition(c.members, target))
     structure = CoalitionStructure(tuple(relabeled))
 
-    steps: list[TraceStep] = []
-    phi = potential(structure, space) if integer_weights else None
-
-    def record(t: Transition, before: CoalitionStructure):
-        nonlocal phi
-        phi_b = phi
-        if integer_weights:
-            phi = phi_b + potential_change(space, before, t)
-        sizes = tuple(len(before.coalitions[j].members) for j in t.participants)
-        steps.append(TraceStep(t, sizes, phi_b, phi))
-
-    # Merge phase: coalitions sharing a target join up (plain 2-compromises),
-    # always the first two coalitions of the target that appears first.
-    # Coalitions carry increasing ids in structure order (a merged one is
-    # appended with a fresh id), so a coalition's index is its id's rank
-    # among the live ids and no merge rescans the structure.
-    live = list(range(len(structure)))
-    by_target: dict[Point, list[int]] = {}
-    for i, c in enumerate(structure.coalitions):
-        by_target.setdefault(c.proposal, []).append(i)
-    fresh_ids = itertools.count(len(structure))
-    while True:
-        ready = [ids for ids in by_target.values() if len(ids) >= 2]
-        if not ready:
-            break
-        ids = min(ready, key=lambda group: group[0])
-        i, j = bisect_left(live, ids[0]), bisect_left(live, ids[1])
-        t = build_transition(space, structure, (i, j), structure.coalitions[i].proposal)
-        ok, reason = validate_transition(space, structure, t, k=2)
-        if not ok:
-            raise DynamicsError(f"merge rejected: {reason}")
-        if any(rest for _, rest in t.leftovers):
-            raise DynamicsError("a relabelled coalition holds a member who does not approve its target")
-        record(t, structure)
-        structure = apply_transition(space, structure, t)
-        del live[j], live[i], ids[:2]
-        new_id = next(fresh_ids)
-        live.append(new_id)
-        ids.append(new_id)
-
-    targets = grid_targets(space.grid_nonneg)
-    target_scores = [(t, score(space, t)) for t in targets]
-    popular_score = max(s for _, s in target_scores)
-
-    if not is_successful(space, structure, popular_score):
-        best = next(t for t, s in target_scores if s == popular_score)
-        test = approval_test(space, best)
-        participants = tuple(
-            j
-            for j, c in enumerate(structure.coalitions)
-            if any(test(space.agents[i]) for i in c.members)
-        )
-        if not 2 <= len(participants) <= k_needed:
-            raise DynamicsError(
-                f"final compromise needs {len(participants)} participants; expected 2..{k_needed}"
-            )
-        t = build_transition(space, structure, participants, best)
-        ok, reason = validate_transition(space, structure, t, k=k_needed)
-        if not ok:
-            raise DynamicsError(f"final compromise rejected: {reason}")
-        record(t, structure)
-        structure = apply_transition(space, structure, t)
-
-    if not is_successful(space, structure, popular_score):
+    popular = solve_grid_four(space)
+    scheduler = _GridScheduler(structure, popular.best_proposal, popular.best_score)
+    trace = run_deliberation(space, structure, scheduler, k=2 if space.grid_nonneg else 3)
+    if not is_successful(space, trace.final, popular.best_score):
         raise DynamicsError("grid convergence failed to reach a successful structure")
-    if len(steps) > space.n:
+    if trace.total_steps > space.n:
         raise DynamicsError("grid convergence exceeded the n-transition bound")
-    return Trace(tuple(steps), True, "grid-converge", 0, structure, tuple(notes))
+    return dataclasses.replace(trace, terminal=True, notes=tuple(notes))

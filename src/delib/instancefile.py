@@ -61,13 +61,25 @@ def coords_document(p: Point):
     return list(p.data)
 
 
+_INEXACT = {bool, float}
+
+
+def _exact(values, convert=int) -> list:
+    """``convert`` applied to each of ``values``, refusing JSON floats and
+    booleans: a float has already lost exactness, and ``int`` would truncate
+    either in silence."""
+    if not _INEXACT.isdisjoint(map(type, values)):
+        raise TypeError("JSON floats and booleans are not exact numbers")
+    return [convert(v) for v in values]
+
+
 def _point_in(kind: Kind, coords, dim: int) -> Point:
     try:
         if kind is Kind.HYPERCUBE:
-            return hypercube_point([int(c) for c in coords])
+            return hypercube_point(_exact(coords))
         if kind is Kind.EUCLIDEAN:
-            return euclidean_point([Fraction(c) for c in coords])
-        return grid_point(int(coords[0]), int(coords[1]))
+            return euclidean_point(_exact(coords, Fraction))
+        return grid_point(*_exact(coords))
     except (ValueError, TypeError, KeyError, IndexError, OverflowError, ZeroDivisionError) as exc:
         raise InstanceFormatError(f"bad coordinates {coords!r}: {exc}") from exc
 
@@ -105,7 +117,7 @@ def to_document(inst: Instance) -> dict:
 def from_document(doc: dict) -> Instance:
     try:
         kind_tag = doc["kind"]
-        dim = int(doc["d"])
+        dim = _exact([doc["d"]])[0]
         agents_doc = doc["agents"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
@@ -119,7 +131,7 @@ def from_document(doc: dict) -> Instance:
     agents = []
     for a in _entries(agents_doc, "agents", {"coords"}):
         try:
-            weight = Fraction(a.get("weight", "1"))
+            weight = _exact([a.get("weight", "1")], Fraction)[0]
         except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
             raise InstanceFormatError(f"bad weight {a.get('weight')!r}") from exc
         pos = _point_in(kind, a["coords"], dim)
@@ -139,7 +151,7 @@ def from_document(doc: dict) -> Instance:
         for c in _entries(doc["structure"], "structure", {"proposal", "members"}):
             proposal = _point_in(kind, c["proposal"], dim)
             try:
-                coalitions.append(Coalition(frozenset(int(i) for i in c["members"]), proposal))
+                coalitions.append(Coalition(frozenset(_exact(c["members"])), proposal))
             except (ValueError, TypeError, OverflowError) as exc:
                 raise InstanceFormatError(f"bad members {c['members']!r}: {exc}") from exc
         structure = CoalitionStructure(tuple(coalitions))

@@ -17,10 +17,9 @@ from delib.dynamics import (
     Coalition,
     CoalitionStructure,
     RandomScheduler,
-    SearchStatus,
     build_transition,
     coalition_weight,
-    find_k_compromise,
+    enumerate_compromises,
     is_successful,
     run_deliberation,
     singleton_structure,
@@ -208,10 +207,10 @@ def test_criterion_6_exp_compromise_and_grid_examples():
             Coalition(frozenset({2, 3, 4}), grid_point(1, 0)),
         )
     )
-    found = find_k_compromise(five, five_initial, 2)
-    assert found.status is SearchStatus.FOUND
-    assert len(found.transition.new_members) == 4
-    assert found.transition.new_proposal.coords() == (0, 1)
+    found = enumerate_compromises(five, five_initial, 2)
+    assert found
+    assert len(found[0].new_members) == 4
+    assert found[0].new_proposal.coords() == (0, 1)
 
     nine = DeliberationSpace(
         Kind.GRID,
@@ -228,11 +227,11 @@ def test_criterion_6_exp_compromise_and_grid_examples():
             Coalition(frozenset({0}), grid_point(0, 1)),
         )
     )
-    assert find_k_compromise(nine, nine_initial, 2).status is SearchStatus.TERMINAL
-    three_way = find_k_compromise(nine, nine_initial, 3)
-    assert three_way.status is SearchStatus.FOUND
-    assert len(three_way.transition.new_members) == 5
-    assert three_way.transition.new_proposal.coords() == (0, 1)
+    assert enumerate_compromises(nine, nine_initial, 2) == []
+    three_way = enumerate_compromises(nine, nine_initial, 3)
+    assert three_way
+    assert len(three_way[0].new_members) == 5
+    assert three_way[0].new_proposal.coords() == (0, 1)
     report(6, "exp-compromise and grid witnesses", "five checks pass; grid examples exact")
 
 

@@ -1,5 +1,6 @@
 """Coalition structures, transitions, potential accounting, schedulers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,11 +13,10 @@ from delib.dynamics import (
     DynamicsError,
     GreedyFastScheduler,
     RandomScheduler,
-    SearchStatus,
     Transition,
     apply_transition,
     build_transition,
-    find_k_compromise,
+    enumerate_compromises,
     is_successful,
     potential,
     run_deliberation,
@@ -197,7 +197,7 @@ class TestTransitions:
         t = build_transition(
             fam.space, structure, (0, 1), fam.support_oracle(frozenset({0, 1}))
         )
-        after = apply_transition(fam.space, structure, t, k=2)
+        after = apply_transition(fam.space, structure, t)
         assert len(after) == 1
 
     def test_partition_preserved_on_random_runs(self):
@@ -211,6 +211,8 @@ class TestTransitions:
 
 
 class TestFindKCompromise:
+    """The compromise search, ``enumerate_compromises``."""
+
     def test_nine_player_grid_example(self):
         agents = [Agent(grid_point(0, 1))] + [
             Agent(grid_point(*p))
@@ -225,11 +227,11 @@ class TestFindKCompromise:
                 ({0}, grid_point(0, 1)),
             ],
         )
-        assert find_k_compromise(space, structure, 2).status is SearchStatus.TERMINAL
-        res = find_k_compromise(space, structure, 3)
-        assert res.status is SearchStatus.FOUND
-        assert len(res.transition.new_members) == 5
-        assert res.transition.new_proposal.coords() == (0, 1)
+        assert enumerate_compromises(space, structure, 2) == []
+        found = enumerate_compromises(space, structure, 3)
+        assert found
+        assert len(found[0].new_members) == 5
+        assert found[0].new_proposal.coords() == (0, 1)
 
     def test_successful_structure_terminal(self):
         fam = gen_euc_slow(3)
@@ -237,23 +239,24 @@ class TestFindKCompromise:
             fam.space, [(range(3), fam.support_oracle(frozenset({0, 1, 2})))]
         )
         for k in (2, 3):
-            assert find_k_compromise(fam.space, grand, k).status is SearchStatus.TERMINAL
-
-    def test_budget_reports_unknown(self):
-        fam = gen_euc_slow(5)
-        res = find_k_compromise(fam.space, singleton_structure(fam.space), 2, search_budget=0)
-        assert res.status is SearchStatus.UNKNOWN
+            assert enumerate_compromises(fam.space, grand, k) == []
 
     def test_found_transitions_validate(self):
+        # Every canonical candidate is a valid transition, from the singletons
+        # and from structures part-way through a random run.
         rng = random.Random(11)
-        for _ in range(10):
-            space = gen_random("euclidean", rng.randint(2, 5), 2, seed=rng.randrange(2 ** 30))
-            res = find_k_compromise(space, singleton_structure(space), 2)
-            if res.status is SearchStatus.FOUND:
-                ok, reason = validate_transition(
-                    space, singleton_structure(space), res.transition, 2
-                )
-                assert ok, reason
+        for kind, k, _ in itertools.product(["hypercube", "euclidean", "grid", "grid_nonneg"], (2, 3), range(6)):
+            dim = 2 if kind.startswith("grid") else rng.randint(2, 4)
+            space = gen_random(kind, rng.randint(2, 6), dim, seed=rng.randrange(2 ** 30))
+            structure = singleton_structure(space)
+            for _ in range(3):
+                found = enumerate_compromises(space, structure, k)
+                for t in found:
+                    ok, reason = validate_transition(space, structure, t, k)
+                    assert ok, (kind, k, reason)
+                if not found:
+                    break
+                structure = apply_transition(space, structure, found[rng.randrange(len(found))])
 
     def test_hypercube_guard(self):
         # Both agents approve the all-ones proposal, so at the limit the pair merges.
@@ -263,10 +266,9 @@ class TestFindKCompromise:
             space = DeliberationSpace(Kind.HYPERCUBE, d, agents)
             if d > 6:
                 with pytest.raises(GuardExceeded, match=r"^brute force over 2\^7 proposals exceeds the guard \(d <= 6\)$"):
-                    find_k_compromise(space, singleton_structure(space), 2, limits=limits)
+                    enumerate_compromises(space, singleton_structure(space), 2, limits=limits)
             else:
-                res = find_k_compromise(space, singleton_structure(space), 2, limits=limits)
-                assert res.status is SearchStatus.FOUND and res.work == 2 ** 6 - 1
+                assert enumerate_compromises(space, singleton_structure(space), 2, limits=limits)
 
     def test_euclidean_guard(self):
         # Every agent at (1, y) approves (1, 0), so two coalitions can hold
@@ -279,10 +281,10 @@ class TestFindKCompromise:
             )
             if count > 5:
                 with pytest.raises(GuardExceeded, match=r"^6 distinct positions exceed the subset guard \(5\)$"):
-                    find_k_compromise(space, structure, 2, limits=limits)
+                    enumerate_compromises(space, structure, 2, limits=limits)
             else:
-                res = find_k_compromise(space, structure, 2, limits=limits)
-                assert res.status is SearchStatus.FOUND and len(res.transition.new_members) == 5
+                found = enumerate_compromises(space, structure, 2, limits=limits)
+                assert found and len(found[0].new_members) == 5
 
 
 class TestAdversarialScheduler:
@@ -424,8 +426,7 @@ class TestTraceCsv:
     def test_weighted_space_leaves_phi_blank(self):
         space = euc_space([[1], [-1]], weights=[Fraction(1, 2), 1])
         structure = singleton_structure(space)
-        res = find_k_compromise(space, structure, 2)
-        assert res.status is SearchStatus.TERMINAL  # 1/2 vs 1: no strict growth possible together
+        assert enumerate_compromises(space, structure, 2) == []  # 1/2 vs 1: no strict growth possible together
         space2 = euc_space([[1], [1, ], [2]], weights=[Fraction(1, 2), Fraction(1, 2), 1])
         trace = run_deliberation(space2, singleton_structure(space2), RandomScheduler(), 2, seed=0)
         csv = trace_to_csv(trace)

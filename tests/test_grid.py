@@ -8,8 +8,7 @@ import pytest
 from delib.dynamics import (
     Coalition,
     CoalitionStructure,
-    SearchStatus,
-    find_k_compromise,
+    enumerate_compromises,
     is_successful,
 )
 from delib.generators import gen_random
@@ -142,7 +141,7 @@ class TestConverge:
                 Coalition(frozenset({0}), grid_point(0, 1)),
             )
         )
-        assert find_k_compromise(space, initial, 2).status is SearchStatus.TERMINAL
+        assert enumerate_compromises(space, initial, 2) == []
         trace = grid_converge(space, initial)
         big = max(trace.final.coalitions, key=lambda c: len(c.members))
         assert len(big.members) == 5

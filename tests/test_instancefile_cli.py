@@ -16,6 +16,12 @@ from delib.instancefile import Instance, InstanceFormatError
 from delib.space import Agent, DeliberationSpace, Kind, euclidean_point
 
 
+def _replace(doc, kind, d, agents):
+    """Make ``doc`` a structure-free instance of ``kind`` with ``agents``."""
+    doc.pop("structure")
+    doc.update(kind=kind, d=d, agents=agents)
+
+
 class TestRoundTrip:
     def test_canonical_identity(self, tmp_path):
         inst = Instance(gen_random("euclidean", 4, 2, seed=5), None, {"family": "random"})
@@ -80,6 +86,15 @@ class TestRoundTrip:
             lambda doc: doc.update(kind=["grid"]),
             lambda doc: doc.update(meta=[1]),
             lambda doc: doc["agents"][0].update(weight=None),
+            # JSON floats and booleans: inexact, or truncated by int().
+            lambda doc: _replace(doc, "euclidean", 1, [{"coords": [0.1], "weight": "1"}]),
+            lambda doc: _replace(doc, "euclidean", 1, [{"coords": ["1"], "weight": 0.1}]),
+            lambda doc: _replace(doc, "grid", 2, [{"coords": [2.5, 1], "weight": "1"}]),
+            lambda doc: _replace(doc, "hypercube", 2, [{"coords": [1.0, 0.9], "weight": "1"}]),
+            lambda doc: doc.update(d=2.7),
+            lambda doc: doc["structure"][0].update(members=[0.4]),
+            lambda doc: doc["agents"][0].update(weight=True),
+            lambda doc: doc["agents"][0]["coords"].append(3),
         ],
     )
     def test_malformed_entries_rejected(self, damage):
@@ -229,9 +244,11 @@ class TestCli:
 
     def test_malformed_trace_row(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
-        trace.write_text("step,ell,participant_sizes,new_size,phi_before,phi_after\n0,2,1+1,x,3,4\n")
-        assert run_cli("verify", "--what", "trace", "--in", str(trace)) == 1
-        assert capsys.readouterr() == ("first_violation=row 0: malformed\n", "")
+        # A non-integer field, or exactly one of the two potentials blank.
+        for row in ("0,2,1+1,x,3,4", "0,2,1+1,2,x,", "0,2,1+1,2,,5"):
+            trace.write_text(f"step,ell,participant_sizes,new_size,phi_before,phi_after\n{row}\n")
+            assert run_cli("verify", "--what", "trace", "--in", str(trace)) == 1, row
+            assert capsys.readouterr() == ("first_violation=row 0: malformed\n", ""), row
 
     def test_simulate_guard_messages(self, tmp_path, capsys):
         hyp = tmp_path / "h.json"
@@ -343,6 +360,30 @@ _trace_rows = st.lists(st.sampled_from(["0", "1", "2", "3", "1+1", "2+1", ""]) |
 ) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
 
 
+# DIMACS and edge-list text with small numbers only: a reduction grows with
+# the square of its header's variable or vertex count.
+_token = st.sampled_from(["p", "cnf", "c", "0", "-0", "1.5", "x"]) | st.integers(-7, 7).map(str) | st.text(
+    st.characters(blacklist_categories=("Cs", "Nd")), min_size=1, max_size=3
+)
+_reduce_lines = st.lists(
+    st.lists(st.integers(-7, 7), min_size=3, max_size=3).map(lambda c: "{} {} {} 0".format(*c))
+    | st.lists(st.integers(0, 7), min_size=2, max_size=2).map(lambda e: "{} {}".format(*e))
+    | st.lists(_token, max_size=5).map(" ".join),
+    max_size=6,
+)
+
+
+@st.composite
+def _reduce_inputs(draw):
+    """An optional header, sometimes promising the count its body holds, and a body."""
+    lines = draw(_reduce_lines)
+    form = draw(st.sampled_from(["", "p cnf {} {}", "p {} {}"]))
+    count = draw(st.none() | st.integers(-1, 6))
+    if count is None:
+        count = sum(line.split().count("0") for line in lines) if "cnf" in form else sum(map(bool, lines))
+    return "\n".join([form.format(draw(st.integers(-1, 6)), count)] + lines) + "\n"
+
+
 def _run_captured(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -380,3 +421,15 @@ class TestFuzz:
         assert err == ""
         assert (code, out.startswith("result=pass")) in ((0, True), (1, False))
         assert code == 0 or out.startswith("first_violation=")
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_reduce_inputs(), st.sampled_from(["3sat", "indep-set"]), st.none() | st.integers(-1, 4))
+    def test_reduce_exits_with_documented_codes(self, tmp_path, text, source, kappa):
+        path = tmp_path / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = ["reduce", "--from", source, "--in", path, "--out", tmp_path / "r.json"]
+        if kappa is not None:
+            argv += ["--kappa", kappa]
+        code, _, err = _run_captured(*argv)
+        assert code in (0, 6)
+        assert err.count("\n") == (code != 0)
