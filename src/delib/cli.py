@@ -22,7 +22,7 @@ from .dynamics import (
     AdversarialScheduler,
     GreedyFastScheduler,
     RandomScheduler,
-    is_successful,
+    reaches_popular,
     run_deliberation,
     singleton_structure,
     trace_to_csv,
@@ -153,12 +153,10 @@ def cmd_simulate(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace_to_csv(trace))
-    successful = "unknown"
     try:
-        popular = solvers.solve_popular(space, "auto").best_score
-        successful = "yes" if is_successful(space, trace.final, popular) else "no"
+        successful = "yes" if reaches_popular(space, trace.final) else "no"
     except GuardExceeded:
-        pass
+        successful = "unknown"
     n = space.n
     print(
         f"steps={len(trace.steps)} bound2n={2 ** n} "
@@ -243,6 +241,8 @@ def cmd_reduce(args) -> int:
                 return _fail(EXIT_PARSE, "--kappa is required for independent-set reductions")
             cert = generators.reduce_is_to_hyp(num_vertices, edges, args.kappa)
             meta = {"family": "reduction", "problem": "indep-set", "kappa": args.kappa}
+    except GuardExceeded as exc:
+        return _fail(EXIT_GUARD, str(exc))
     except ValueError as exc:  # GeneratorError, or a malformed number in the input
         return _fail(EXIT_PARSE, str(exc))
     instancefile.save(Instance(cert.space, None, meta), args.out)

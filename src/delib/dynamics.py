@@ -7,6 +7,15 @@ behind under their old proposals.
 
 Single-coalition "transitions" are vacuous (strict growth inside a subset of
 one coalition is impossible) and are never searched.
+
+A subset's candidate depends only on the space, the limits and its
+coalitions in structure order, and a transition keeps the surviving
+coalitions in order.  So the random scheduler keeps, for its run, a map from
+each subset of the current structure (as its tuple of coalitions) to the
+candidate's proposal, or None when the subset has none.  The next step
+rebuilds the map for the new structure's subsets: those of survivors only
+are looked up, and only the subsets that contain a new coalition are
+searched.  The map never holds more than the current structure's subsets.
 """
 
 from __future__ import annotations
@@ -210,15 +219,16 @@ def _participant_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(range(m), ell)
 
 
-def _best_candidate_for(
+def _candidate_proposal(
     space: DeliberationSpace,
     structure: CoalitionStructure,
     subset: tuple[int, ...],
     limits: SolverLimits,
-) -> Transition | None:
-    """Canonical candidate: the heaviest approvable member set within the
-    union of the participants.  Valid iff it strictly outweighs every
-    participant; when it does not, no transition exists for this subset."""
+) -> Point | None:
+    """Proposal of the canonical candidate: the heaviest approvable member
+    set within the union of the participants.  Valid iff it strictly
+    outweighs every participant; when it does not, no transition exists for
+    this subset and the result is None."""
     union: list[int] = []
     for j in subset:
         union.extend(sorted(structure.coalitions[j].members))
@@ -229,27 +239,23 @@ def _best_candidate_for(
         limits.check("hyp_brute_max_dim", space.dim)
         masks = [(space.agents[i].position.data, space.agents[i].weight) for i in union]
         best_mask, best_w = solvers._heaviest_mask(masks, space.dim)
-        if best_w <= max_part:
-            return None
-        proposal = hypercube_point(best_mask, space.dim)
-    elif space.kind is Kind.EUCLIDEAN:
+        return hypercube_point(best_mask, space.dim) if best_w > max_part else None
+    if space.kind is Kind.EUCLIDEAN:
         agents = [space.agents[i] for i in union]
         proposal, _ = solvers._strict_support_proposal(agents, limits, stop_below=max_part)
-        if proposal is None:
-            return None
-    else:
-        candidates = list(solvers.grid_targets(space.grid_nonneg))
-        candidates += [structure.coalitions[j].proposal for j in subset]
-        best, best_w = None, _ZERO
-        for p in candidates:
-            test = approval_test(space, p)
-            w = sum((space.agents[i].weight for i in union if test(space.agents[i])), _ZERO)
-            if best is None or w > best_w:
-                best, best_w = p, w
-        if best_w <= max_part:
-            return None
-        proposal = best
-    return build_transition(space, structure, subset, proposal)
+        return proposal
+    candidates = list(solvers.grid_targets(space.grid_nonneg))
+    candidates += [structure.coalitions[j].proposal for j in subset]
+    best, best_w = None, _ZERO
+    for p in candidates:
+        test = approval_test(space, p)
+        w = sum((space.agents[i].weight for i in union if test(space.agents[i])), _ZERO)
+        if best is None or w > best_w:
+            best, best_w = p, w
+    return best if best_w > max_part else None
+
+
+_UNSEEN = object()
 
 
 def enumerate_compromises(
@@ -257,6 +263,7 @@ def enumerate_compromises(
     structure: CoalitionStructure,
     k: int,
     limits: SolverLimits = DEFAULT_LIMITS,
+    known: dict | None = None,
 ) -> list[Transition]:
     """The canonical candidate of every participant subset that admits one.
 
@@ -264,12 +271,28 @@ def enumerate_compromises(
     per-subset candidate is complete: if any transition exists for a
     participant set, its candidate is one.  An empty list therefore
     certifies k-terminality.
+
+    A candidate depends only on the space, the limits and the participating
+    coalitions in structure order.  ``known`` maps such tuples of coalitions
+    to their candidate's proposal (None when there is none), as an earlier
+    call on the same space and limits left it: the subsets it holds are
+    rebuilt at their current indices without a search, and on return it
+    holds exactly this structure's subsets.  Without it every subset is
+    searched.
     """
+    known = {} if known is None else known
     out = []
+    current = {}
     for subset in _participant_subsets(len(structure), k):
-        t = _best_candidate_for(space, structure, subset, limits)
-        if t is not None:
-            out.append(t)
+        key = tuple(structure.coalitions[j] for j in subset)
+        proposal = known.get(key, _UNSEEN)
+        if proposal is _UNSEEN:
+            proposal = _candidate_proposal(space, structure, subset, limits)
+        current[key] = proposal
+        if proposal is not None:
+            out.append(build_transition(space, structure, subset, proposal))
+    known.clear()
+    known.update(current)
     return out
 
 
@@ -295,9 +318,14 @@ class RandomScheduler(Scheduler):
 
     def __init__(self, limits: SolverLimits = DEFAULT_LIMITS):
         self.limits = limits
+        self.space, self.known = None, {}
 
     def __call__(self, space, structure, k, rng):
-        options = enumerate_compromises(space, structure, k, self.limits)
+        # The candidates of the last structure's subsets, for the coalitions
+        # that survived into this one; valid while the space stays the same.
+        if space is not self.space:
+            self.space, self.known = space, {}
+        options = enumerate_compromises(space, structure, k, self.limits, self.known)
         if not options:
             return None
         return options[rng.randrange(len(options))]
@@ -511,3 +539,21 @@ def is_successful(
             if approvers == set(c.members):
                 return True
     return False
+
+
+def reaches_popular(
+    space: DeliberationSpace, structure: CoalitionStructure, limits: SolverLimits = DEFAULT_LIMITS
+) -> bool:
+    """:func:`is_successful` without computing the popular score.
+
+    On a valid structure every member approves its coalition's proposal,
+    so a coalition's proposal scores at least its weight ``w``, and it
+    scores exactly ``w`` with exactly its members approving when ``w`` is
+    the popular score (weights are positive).  The structure is therefore
+    successful exactly when no proposal scores more than its heaviest
+    coalition weighs, which :func:`solvers.score_exceeds` decides on the
+    route ``auto`` takes.  Raises :class:`solvers.GuardExceeded` where
+    ``solve_popular(space, "auto")`` would.
+    """
+    heaviest = max(coalition_weight(space, c.members) for c in structure.coalitions)
+    return not solvers.score_exceeds(space, heaviest, limits)

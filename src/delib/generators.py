@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .dynamics import Coalition, CoalitionStructure
+from .solvers import GuardExceeded
 from .space import (
     Agent,
     DeliberationSpace,
@@ -478,6 +479,13 @@ def reduce_is_to_hyp(num_vertices: int, edges: Sequence[tuple[int, int]], kappa:
     )
 
 
+# The most coordinates a 3-SAT reduction may hold (dimension times agents):
+# 100 variables with 200 clauses, about 1.3 MB of instance file, which
+# `reduce` wrote in 0.30 s (2 vCPU).  The count grows with the square of the
+# variables; 800 variables took 11 s and 49 MB.
+_SAT_MAX_COORDINATES = 100_000
+
+
 def reduce_3sat_to_euc(num_vars: int, clauses: Sequence[Sequence[int]]) -> ReductionCertificate:
     """3-CNF satisfiability to a Euclidean score-threshold instance in R^{2m}.
 
@@ -485,7 +493,8 @@ def reduce_3sat_to_euc(num_vars: int, clauses: Sequence[Sequence[int]]) -> Reduc
     pair force any heavy proposal to stay balanced, literal agents at (1,0)
     and (0,1) encode the assignment, and one agent per clause sits at -1 on
     the pair-halves of its negated literals.  The formula is satisfiable iff
-    some proposal reaches score eta.
+    some proposal reaches score eta.  Raises :class:`GuardExceeded` when the
+    instance would hold more than ``_SAT_MAX_COORDINATES`` coordinates.
     """
     m = num_vars
     if m < 1:
@@ -497,6 +506,12 @@ def reduce_3sat_to_euc(num_vars: int, clauses: Sequence[Sequence[int]]) -> Reduc
             raise GeneratorError(f"clause {cl!r} references an unknown variable")
     d = 2 * m
     n_clauses = len(clauses)
+    size = d * (3 * m + n_clauses)
+    if size > _SAT_MAX_COORDINATES:
+        raise GuardExceeded(
+            f"the reduction would hold {size} coordinates ({3 * m + n_clauses} agents in R^{d}), "
+            f"over the reduction guard ({_SAT_MAX_COORDINATES})"
+        )
     lit_weight = Fraction(n_clauses + 1)
     anchor_weight = Fraction(2 * m) * lit_weight + 1
     eta = m * anchor_weight + m * lit_weight + n_clauses

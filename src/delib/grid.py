@@ -170,4 +170,4 @@ def grid_converge(
         raise DynamicsError("grid convergence failed to reach a successful structure")
     if trace.total_steps > space.n:
         raise DynamicsError("grid convergence exceeded the n-transition bound")
-    return dataclasses.replace(trace, terminal=True, notes=tuple(notes))
+    return dataclasses.replace(trace, notes=tuple(notes))

@@ -65,9 +65,13 @@ _INEXACT = {bool, float}
 
 
 def _exact(values, convert=int) -> list:
-    """``convert`` applied to each of ``values``, refusing JSON floats and
-    booleans: a float has already lost exactness, and ``int`` would truncate
-    either in silence."""
+    """``convert`` applied to each of the list ``values``, refusing JSON
+    floats and booleans: a float has already lost exactness, and ``int``
+    would truncate either in silence.  Any other JSON value in place of the
+    list is refused too, since a string would be read one character at a
+    time."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list, got {type(values).__name__}")
     if not _INEXACT.isdisjoint(map(type, values)):
         raise TypeError("JSON floats and booleans are not exact numbers")
     return [convert(v) for v in values]

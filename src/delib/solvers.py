@@ -410,8 +410,10 @@ def _cells_scan_cost(n: int, d: int) -> int:
 _CELLS_SCAN_BUDGET = _cells_scan_cost(32, 3)
 
 
-def solve_euc_cells(space: DeliberationSpace) -> SolverReport:
-    """Popular proposal via incremental sign patterns of the normal arrangement.
+def _cells_scan(
+    space: DeliberationSpace, stop_below: Fraction | None = None
+) -> tuple[tuple[int, tuple[Fraction, ...]] | None, list[Point], int]:
+    """Incremental sign patterns of the normal arrangement.
 
     Maintains the achievable patterns of (sign <v_1, x>, ..., sign <v_i, x>)
     with signs collapsed to {positive, non-positive}; each pattern carries a
@@ -420,7 +422,14 @@ def solve_euc_cells(space: DeliberationSpace) -> SolverReport:
     pattern is its strictly-positive coordinate set.  An infeasible
     extension's certificate names signs on a few positions that no direction
     achieves; later extensions with those signs are decided without an LP.
-    The work counts the extensions decided.
+
+    Returns ``(pattern, positions, work)``: the first heaviest complete
+    pattern as ``(mask of its positive positions, witness)``, the distinct
+    positions in scan order, and the count of extensions decided.  With
+    ``stop_below`` the scan answers only whether some pattern is heavier: a
+    pattern that cannot outweigh it even with every position not yet placed
+    is dropped before its LP, the first pattern heavier than it is returned
+    at once, and ``None`` means there is none.
     """
     if space.kind is not Kind.EUCLIDEAN:
         raise ValueError("Euclidean solver called on a non-Euclidean space")
@@ -430,35 +439,53 @@ def solve_euc_cells(space: DeliberationSpace) -> SolverReport:
         raise GuardExceeded(f"{len(grouped)} distinct positions in R^{d} exceed the cells guard")
     positions = [pos for pos, _ in grouped]
     weights = [w for _, w in grouped]
+    unplaced = sum(weights, _ZERO)
     work = 0
     # Certificate supports: (positive, non-positive) position masks no direction achieves.
     cores: list[tuple[int, int]] = []
-    # Each entry: (mask of the positive positions so far, witness direction).
-    patterns: list[tuple[int, tuple[Fraction, ...]]] = [(0, (_ZERO,) * d)]
+    # Each entry: (mask of the positive positions so far, their weight, witness direction).
+    patterns: list[tuple[int, Fraction, tuple[Fraction, ...]]] = [(0, _ZERO, (_ZERO,) * d)]
     for i, pos in enumerate(positions):
-        pairs, bit = pos.data[1], 1 << i
+        pairs, bit, wi = pos.data[1], 1 << i, weights[i]
+        unplaced -= wi
         extended = []
-        for plus, witness in patterns:
+        for plus, w, witness in patterns:
+            w_other = w + wi
             if sum(c * witness[j] for j, c in pairs) > 0:
-                plus |= bit
-            extended.append((plus, witness))
+                plus, w, w_other = plus | bit, w_other, w
+            if stop_below is None or w + unplaced > stop_below:
+                if stop_below is not None and w > stop_below:
+                    return (plus, witness), positions, work
+                extended.append((plus, w, witness))
             work += 1
+            if stop_below is not None and w_other + unplaced <= stop_below:
+                continue
             other = plus ^ bit
             if any(cp & other == cp and not cn & other for cp, cn in cores):
                 continue
             rows = [(">" if other >> j & 1 else "<=",) + positions[j].data for j in range(i + 1)]
             x, y = solve_strict_rows(d, rows)
             if x is not None:
-                extended.append((other, x))
+                if stop_below is not None and w_other > stop_below:
+                    return (other, x), positions, work
+                extended.append((other, w_other, x))
             elif y is not None:
                 support = sum(1 << j for j, yj in enumerate(y) if yj)
                 cores.append((support & other, support & ~other))
         patterns = extended
-    best_plus, best_witness, best_weight = None, None, _ZERO
-    for plus, witness in patterns:
-        w = sum((wi for i, wi in enumerate(weights) if plus >> i & 1), _ZERO)
-        if best_plus is None or w > best_weight:
-            best_plus, best_witness, best_weight = plus, witness, w
+    if stop_below is not None:
+        return None, positions, work
+    best = None
+    for plus, w, witness in patterns:
+        if best is None or w > best[1]:
+            best = (plus, w, witness)
+    return (best[0], best[2]), positions, work
+
+
+def solve_euc_cells(space: DeliberationSpace) -> SolverReport:
+    """Popular proposal via the sign patterns of the normal arrangement
+    (:func:`_cells_scan`); the work counts the extensions decided."""
+    (best_plus, best_witness), positions, work = _cells_scan(space)
     supported = [p for i, p in enumerate(positions) if best_plus >> i & 1]
     if not supported:
         raise AssertionError("no supportable pattern found; spaces are never empty")
@@ -525,20 +552,43 @@ def solve_hyp_popular_via_ilp(
     raise AssertionError("some nonempty support is always feasible (self-approval)")
 
 
+def _auto_method(space: DeliberationSpace) -> Method:
+    """The route ``auto`` takes: by kind, then by dimension."""
+    if space.kind is Kind.HYPERCUBE:
+        return Method.HYP_BRUTE if space.dim <= 20 else Method.HYP_TYPE_ILP
+    if space.kind is Kind.EUCLIDEAN:
+        return Method.EUC_CELLS if space.dim <= 3 else Method.EUC_SUBSET_LP
+    return Method.GRID_FOUR
+
+
+def score_exceeds(
+    space: DeliberationSpace, threshold: Fraction, limits: SolverLimits = DEFAULT_LIMITS
+) -> bool:
+    """Whether some proposal scores more than ``threshold``.
+
+    Asked on the route ``auto`` takes, so the same guard fires first.  The
+    Euclidean routes stop at the first proposal heavier than the threshold
+    and skip every subset or sign pattern that cannot be; hypercube and grid
+    spaces solve in full.  At a threshold of at least the total weight the
+    answer is no, and a Euclidean route decides it without an LP.
+    """
+    method = _auto_method(space)
+    if method is Method.EUC_CELLS:
+        found, _, _ = _cells_scan(space, stop_below=threshold)
+        return found is not None
+    if method is Method.EUC_SUBSET_LP:
+        proposal, _ = _strict_support_proposal(space.agents, limits, stop_below=threshold)
+        return proposal is not None
+    return solve_popular(space, "auto", limits).best_score > threshold
+
+
 def solve_popular(
     space: DeliberationSpace, method: str = "auto", limits: SolverLimits = DEFAULT_LIMITS
 ) -> SolverReport:
     """Dispatch to a solver; ``auto`` picks by kind and instance size."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    chosen = _METHODS[method]
-    if chosen is None:
-        if space.kind is Kind.HYPERCUBE:
-            chosen = Method.HYP_BRUTE if (1 << space.dim) <= (1 << 20) else Method.HYP_TYPE_ILP
-        elif space.kind is Kind.EUCLIDEAN:
-            chosen = Method.EUC_CELLS if space.dim <= 3 else Method.EUC_SUBSET_LP
-        else:
-            chosen = Method.GRID_FOUR
+    chosen = _METHODS[method] or _auto_method(space)
     if chosen is Method.HYP_BRUTE:
         return solve_hyp_bruteforce(space, limits)
     if chosen is Method.HYP_TYPE_ILP:

@@ -141,6 +141,46 @@ def build_hyp_grid_corpus(tmp) -> dict[str, bytes]:
     return outputs
 
 
+EXPECTED_SIMULATE = {
+    "euc-8x2-random.txt": "ba013cf26ae1161d2cfe5eb96e2b3dacbb64791cdef0209b582d0f6fe77969cf",
+    "euc-8x2-random.csv": "9dcbe63eda9956026f42d0a6a6f63556b9ff0c9bd3e597f0a5419a10d8e29206",
+    "euc-8x2-random-k3.txt": "499aa820c940d8843f58029ead84998f15dfa3499c188d93f7736ad8a5e21640",
+    "euc-8x2-random-k3.csv": "f458f1406edeeea42fa5230c8bae1df090d3c35c9ad72d228f5d18ddc87ed89e",
+    "euc-8x4-random.txt": "ba013cf26ae1161d2cfe5eb96e2b3dacbb64791cdef0209b582d0f6fe77969cf",
+    "euc-8x4-random.csv": "ce808b0c719c24da3c6d27991d91d29e6a3f389bdbe7238ae9c3345dcd9783a1",
+    "euc-slow-23-adversarial.txt": "160c202008a74d1c698934a6591d317ea980a691bc3e9ae8fe111f4f822cd754",
+    "euc-slow-23-adversarial.csv": "08452d91826463fccd2cf1743dbf20e06679a217ceead6efdaeac56e82b84126",
+}
+
+
+def build_simulate_corpus(tmp) -> dict[str, bytes]:
+    """``simulate`` summaries and traces on the routes ``successful=`` takes:
+    the cells scan (d = 2), the subset scan (d = 4), and a subset guard that
+    fires (euc-slow n = 23 has 23 distinct positions), which prints
+    ``successful=unknown``."""
+    outputs = {}
+
+    def simulate(name, *argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["simulate", *(str(a) for a in argv), "--trace", str(tmp / f"{name}.csv")])
+        assert code == 0, argv
+        outputs[f"{name}.txt"] = out.getvalue().encode()
+        outputs[f"{name}.csv"] = (tmp / f"{name}.csv").read_bytes()
+
+    for n, d in ((8, 2), (8, 4)):
+        inst = tmp / f"euc-{n}x{d}.json"
+        assert main(["generate", "--family", "random", "--kind", "euclidean", "--n", str(n), "--d", str(d),
+                     "--seed", "3", "--out", str(inst)]) == 0
+        simulate(f"euc-{n}x{d}-random", "--space", inst, "--scheduler", "random", "--seed", 1)
+        if d == 2:
+            simulate(f"euc-{n}x{d}-random-k3", "--space", inst, "--scheduler", "random", "--seed", 1, "--k", 3)
+    slow = tmp / "euc-slow-23.json"
+    assert main(["generate", "--family", "euc-slow", "--n", "23", "--out", str(slow)]) == 0
+    simulate("euc-slow-23-adversarial", "--space", slow, "--scheduler", "adversarial")
+    return outputs
+
+
 def _digests(outputs):
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
@@ -155,3 +195,7 @@ def test_lp_outputs_are_byte_identical(tmp_path):
 
 def test_hypercube_and_grid_outputs_are_byte_identical(tmp_path):
     assert _digests(build_hyp_grid_corpus(tmp_path)) == EXPECTED_HYP_GRID
+
+
+def test_simulate_outputs_are_byte_identical(tmp_path):
+    assert _digests(build_simulate_corpus(tmp_path)) == EXPECTED_SIMULATE

@@ -1,10 +1,12 @@
 """Coalition structures, transitions, potential accounting, schedulers."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delib.dynamics import (
     AdversarialScheduler,
@@ -19,6 +21,7 @@ from delib.dynamics import (
     enumerate_compromises,
     is_successful,
     potential,
+    reaches_popular,
     run_deliberation,
     singleton_structure,
     trace_to_csv,
@@ -28,7 +31,7 @@ from delib.dynamics import (
 from delib import dynamics
 from delib.generators import gen_euc_slow, gen_hyp_slow, gen_random
 from delib.grid import grid_converge
-from delib.solvers import GuardExceeded, SolverLimits, solve_euc_subsets
+from delib.solvers import GuardExceeded, SolverLimits, solve_euc_subsets, solve_popular
 from delib.space import (
     Agent,
     DeliberationSpace,
@@ -395,6 +398,46 @@ class TestRandomScheduler:
             assert trace.terminal
 
 
+_KINDS = st.sampled_from(["hypercube", "euclidean", "grid", "grid_nonneg"])
+
+
+def _random_space(kind, n, seed):
+    """A random space of ``kind``: hypercube d = 2-6, Euclidean d = 1-3."""
+    dim = {"hypercube": 2 + seed % 5, "euclidean": 1 + seed % 3}.get(kind, 2)
+    return gen_random(kind, n, dim, seed=seed)
+
+
+class TestCandidateMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(_KINDS, st.sampled_from([2, 3]), st.integers(2, 7), st.integers(0, 2 ** 30), st.integers(0, 2 ** 30))
+    def test_scheduler_plays_the_fresh_transitions(self, kind, k, n, seed, run_seed):
+        # Each step, the carried candidates give the same list as a fresh
+        # search, and the scheduler draws the same transition from it.
+        space = _random_space(kind, n, seed)
+        scheduler, known = RandomScheduler(), {}
+        rng, fresh_rng = random.Random(run_seed), random.Random(run_seed)
+        structure = singleton_structure(space)
+        while True:
+            fresh = enumerate_compromises(space, structure, k)
+            assert enumerate_compromises(space, structure, k, known=known) == fresh
+            assert len(known) == sum(math.comb(len(structure), ell) for ell in range(2, min(k, len(structure)) + 1))
+            t = scheduler(space, structure, k, rng)
+            if not fresh:
+                assert t is None
+                break
+            assert t == fresh[fresh_rng.randrange(len(fresh))]
+            structure = apply_transition(space, structure, t)
+
+    def test_scheduler_reused_on_another_space(self):
+        # The carried candidates belong to one space; a second space starts afresh.
+        first, second = gen_random("hypercube", 5, 4, seed=1), gen_random("hypercube", 5, 4, seed=2)
+        shared = RandomScheduler()
+        for space in (first, second, first):
+            reused = run_deliberation(space, singleton_structure(space), shared, 3, seed=7)
+            fresh = run_deliberation(space, singleton_structure(space), RandomScheduler(), 3, seed=7)
+            assert reused == fresh
+
+
 class TestIsSuccessful:
     def test_grand_coalition_on_slow_family(self):
         fam = gen_euc_slow(4)
@@ -410,6 +453,50 @@ class TestIsSuccessful:
     def test_popular_score_unmet(self):
         fam = gen_euc_slow(3)
         assert not is_successful(fam.space, singleton_structure(fam.space), Fraction(3))
+
+
+class TestReachesPopular:
+    @settings(max_examples=80, deadline=None)
+    @given(_KINDS, st.integers(1, 7), st.integers(0, 2 ** 30), st.integers(0, 6), st.booleans())
+    def test_matches_is_successful(self, kind, n, seed, steps, weighted):
+        # Structures part-way through and at the end of random runs.
+        space = _random_space(kind, n, seed)
+        if weighted and kind == "euclidean":
+            rng = random.Random(seed)
+            agents = tuple(Agent(a.position, Fraction(rng.randint(1, 6), rng.randint(1, 3))) for a in space.agents)
+            space = DeliberationSpace(Kind.EUCLIDEAN, space.dim, agents)
+        structure, scheduler, rng = singleton_structure(space), RandomScheduler(), random.Random(seed)
+        for _ in range(steps):
+            t = scheduler(space, structure, 3, rng)
+            if t is None:
+                break
+            structure = apply_transition(space, structure, t)
+        popular = solve_popular(space, "auto").best_score
+        assert reaches_popular(space, structure) == is_successful(space, structure, popular)
+
+    def test_unsuccessful_structure(self):
+        # Only the singleton at -1 holds its whole approver set, and it
+        # weighs 1 where the popular score is 2.
+        space = euc_space([[1], [2], [-1]])
+        structure = singleton_structure(space)
+        assert not is_successful(space, structure, Fraction(2))
+        assert not reaches_popular(space, structure)
+        grown = structure_of(space, [({0, 1}, euclidean_point([1])), ({2}, euclidean_point([-1]))])
+        assert reaches_popular(space, grown)
+
+    def test_guard_fires_as_in_solve_popular(self):
+        # 33 distinct positions on the first axis of R^3 exceed the cells
+        # guard, whichever coalition is heaviest.
+        space = euc_space([[(k // 2 + 1) * (-1) ** k, 0, 0] for k in range(33)])
+        positive = [k for k in range(33) if k % 2 == 0]
+        halves = structure_of(
+            space,
+            [(positive, euclidean_point([Fraction(1, 100), 0, 0]))]
+            + [({k}, space.agents[k].position) for k in range(33) if k % 2],
+        )
+        for structure in (singleton_structure(space), halves):
+            with pytest.raises(GuardExceeded, match="exceed the cells guard"):
+                reaches_popular(space, structure)
 
 
 class TestTraceCsv:

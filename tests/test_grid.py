@@ -179,6 +179,20 @@ class TestConverge:
             else:
                 assert all(step.transition.ell <= 3 for step in trace.steps)
 
+    def test_terminal_only_without_compromises(self):
+        # On the full grid a 3-compromise can remain after the final one.
+        space = grid_space([(-5, 1), (4, -4), (3, -4), (-5, 0)])
+        trace = grid_converge(space)
+        assert not trace.terminal
+        assert enumerate_compromises(space, trace.final, 3)
+        rng = random.Random(19)
+        for trial in range(40):
+            kind = "grid_nonneg" if trial % 2 else "grid"
+            space = gen_random(kind, rng.randint(1, 9), 2, seed=rng.randrange(2 ** 30))
+            trace = grid_converge(space)
+            if trace.terminal:
+                assert enumerate_compromises(space, trace.final, 2 if space.grid_nonneg else 3) == []
+
     def test_relabels_recorded_not_counted(self):
         space = grid_space([(4, 4), (4, 4)], nonneg=True)
         trace = grid_converge(space)

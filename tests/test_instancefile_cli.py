@@ -95,6 +95,11 @@ class TestRoundTrip:
             lambda doc: doc["structure"][0].update(members=[0.4]),
             lambda doc: doc["agents"][0].update(weight=True),
             lambda doc: doc["agents"][0]["coords"].append(3),
+            # Strings where a list belongs, which would be read one character at a time.
+            lambda doc: _replace(doc, "hypercube", 3, [{"coords": "101", "weight": "1"}]),
+            lambda doc: _replace(doc, "grid", 2, [{"coords": "12", "weight": "1"}]),
+            lambda doc: _replace(doc, "euclidean", 2, [{"coords": "12", "weight": "1"}]),
+            lambda doc: doc["structure"][0].update(members="01"),
         ],
     )
     def test_malformed_entries_rejected(self, damage):
@@ -225,6 +230,21 @@ class TestCli:
         bad.write_text("p 3 1\n1 x\n")
         out = str(tmp_path / "o.json")
         assert run_cli("reduce", "--from", "indep-set", "--in", str(bad), "--kappa", "1", "--out", out) == 6
+
+    def test_reduce_size_guard(self, tmp_path, capsys):
+        # 100 variables give R^200 and 300 agents, plus one agent per clause:
+        # 200 clauses reach the 100,000-coordinate guard, 201 exceed it.
+        cnf, out = tmp_path / "f.cnf", tmp_path / "o.json"
+        for count, code in ((200, 0), (201, 3)):
+            clauses = "".join(f"{i % 100 + 1} -{(i + 1) % 100 + 1} {(i + 2) % 100 + 1} 0\n" for i in range(count))
+            cnf.write_text(f"p cnf 100 {count}\n" + clauses)
+            assert run_cli("reduce", "--from", "3sat", "--in", str(cnf), "--out", str(out)) == code
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"written={out} ") and captured.out.count("\n") == 1
+        assert captured.err == (
+            "error: the reduction would hold 100200 coordinates (501 agents in R^200), "
+            "over the reduction guard (100000)\n"
+        )
 
     def test_malformed_instance_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

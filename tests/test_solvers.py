@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delib import solvers
 from delib.generators import gen_euc_slow, gen_hyp_slow, gen_random, reduce_3sat_to_euc, reduce_is_to_hyp
@@ -30,6 +31,7 @@ from delib.solvers import (
     solve_hyp_popular_via_ilp,
     solve_hyp_type_ilp,
     solve_popular,
+    score_exceeds,
 )
 from delib.space import (
     Agent,
@@ -460,3 +462,33 @@ class TestDispatch:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             solve_popular(euc_space([[1]]), "magic")
+
+
+class TestScoreExceeds:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_matches_the_popular_score(self, d, data):
+        # Cells route for d <= 3, subset route above; both answers occur.
+        n = data.draw(st.integers(1, 9 if d <= 3 else 7))
+        coords = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+        weights = st.builds(Fraction, st.integers(1, 6), st.integers(1, 3))
+        agents = data.draw(st.lists(st.tuples(coords, weights), min_size=n, max_size=n))
+        space = DeliberationSpace(
+            Kind.EUCLIDEAN, d, tuple(Agent(euclidean_point(c), w) for c, w in agents)
+        )
+        popular = solve_popular(space, "auto").best_score
+        smallest = min(a.weight for a in space.agents)
+        for s in (popular, popular - smallest, Fraction(0), space.total_weight):
+            assert score_exceeds(space, s) == (popular > s)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_total_weight_needs_no_lp(self, monkeypatch, d):
+        calls = _count_lps(monkeypatch)
+        space = gen_random("euclidean", 8, d, seed=3)
+        assert not score_exceeds(space, space.total_weight)
+        assert calls == []
+
+    def test_hypercube_and_grid_solve_in_full(self):
+        for space in (gen_random("hypercube", 5, 6, seed=1), gen_random("grid", 5, 2, seed=1)):
+            popular = solve_popular(space).best_score
+            assert score_exceeds(space, popular - 1) and not score_exceeds(space, popular)
