@@ -203,7 +203,7 @@ def cmd_generate(args) -> int:
             inst = Instance(space, None, meta)
         else:
             return _fail(EXIT_BAD_PARAMS, f"unknown family {args.family!r}")
-    except GeneratorError as exc:
+    except (GeneratorError, GuardExceeded) as exc:
         return _fail(EXIT_BAD_PARAMS, str(exc))
     instancefile.save(inst, args.out)
     print(f"written={args.out} agents={inst.space.n} d={inst.space.dim}")
@@ -267,6 +267,8 @@ def _verify_exp_compromise(args) -> int:
         return _fail(EXIT_PARSE, "not an exp-compromise instance (missing family metadata)")
     try:
         built = generators.gen_exp_compromise(int(meta["d"]))
+    except GuardExceeded as exc:
+        return _fail(EXIT_GUARD, str(exc))
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(EXIT_PARSE, f"malformed exp-compromise metadata: {exc!r}")
     regenerated = Instance(built.space, built.initial, None)

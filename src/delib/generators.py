@@ -176,6 +176,12 @@ def _decay_between(capture: Fraction, terms: int) -> Fraction:
     raise GeneratorError("no suitable decay ratio found; this cannot happen for k >= 2")
 
 
+# The most agents the exp-compromise construction may hold: those of d=55.
+# There, on 2 vCPUs, `generate` took 31 s and 2.9 GB to write a 513 MB file,
+# and `verify` took 52 s; the next admissible d, 82, would hold 416,649,744.
+_EXP_MAX_AGENTS = 328_050
+
+
 def gen_exp_compromise(d: int) -> ExpCompromiseInstance:
     """Instantiate the construction for dimension d with (d-1) % 27 == 0.
 
@@ -191,6 +197,16 @@ def gen_exp_compromise(d: int) -> ExpCompromiseInstance:
     n_triplets = base // 3
     n_nonuplets = n_triplets // 3
     per_proposal_nonuplets = base // 27
+    t_count = 3 * per_proposal_nonuplets  # triplets per proposal
+    two_triplets = t_count // 2 + 1  # strict majority of the proposal's triplets
+    types_per_proposal = math.comb(t_count, two_triplets) * 3 ** t_count * 2
+    # The chain orders every seed proposal, and each seeds one coalition.
+    size = math.comb(n_nonuplets, per_proposal_nonuplets) * types_per_proposal
+    if size > _EXP_MAX_AGENTS:
+        raise GuardExceeded(
+            f"the construction for d={d} would hold {size} agents, "
+            f"over the exp-compromise guard ({_EXP_MAX_AGENTS})"
+        )
     triplets = [tuple(range(3 * t, 3 * t + 3)) for t in range(n_triplets)]
     nonuplets = [tuple(range(3 * q, 3 * q + 3)) for q in range(n_nonuplets)]  # triplet ids
 
@@ -212,9 +228,6 @@ def gen_exp_compromise(d: int) -> ExpCompromiseInstance:
         seed_points.append(p)
         seed_triplets.append(tids)
 
-    t_count = len(seed_triplets[0])  # triplets per proposal
-    two_triplets = t_count // 2 + 1  # strict majority of the proposal's triplets
-    types_per_proposal = math.comb(t_count, two_triplets) * 3 ** t_count * 2
     k = len(chained) - 1
     rival_cap = 1 - Fraction(1, types_per_proposal)
     capture = (1 + rival_cap) / 2
@@ -404,6 +417,22 @@ def _characteristic_agent(d: int, rhs_dims: Sequence[int]) -> Agent:
     return Agent(hypercube_point_from_set(rhs_dims, d))
 
 
+# The most coordinates an independent-set reduction may hold: 311 vertices,
+# 349 edges and kappa 2 give exactly this many, an 11 MB file that `reduce`
+# wrote in 1.1-1.3 s (2 vCPU).  The count grows with the square of the
+# vertices; 2,000 took 38.5 s.
+_IS_MAX_COORDINATES = 1_000_000
+
+
+def _check_reduction_size(n_agents: int, base: str, d: int, limit: int) -> None:
+    """Refuse a reduction of ``n_agents`` agents in ``base``^``d`` past ``limit`` coordinates."""
+    if d * n_agents > limit:
+        raise GuardExceeded(
+            f"the reduction would hold {d * n_agents} coordinates ({n_agents} agents in {base}^{d}), "
+            f"over the reduction guard ({limit})"
+        )
+
+
 def reduce_is_to_hyp(num_vertices: int, edges: Sequence[tuple[int, int]], kappa: int) -> ReductionCertificate:
     """Independent-set instance (kappa sought) to a hypercube unanimity instance.
 
@@ -426,6 +455,9 @@ def reduce_is_to_hyp(num_vertices: int, edges: Sequence[tuple[int, int]], kappa:
             raise GeneratorError(f"bad edge ({u}, {v})")
         edge_set.add((min(u, v), max(u, v)))
     d = 2 * m + 2 * kappa - 1
+    # Two agents per auxiliary dimension, four per vertex, one per edge (kappa >= 2), one for the size.
+    n_agents = 2 * (2 * kappa - 1) + 4 * m + (len(edge_set) if kappa >= 2 else 0) + 1
+    _check_reduction_size(n_agents, "{0,1}", d, _IS_MAX_COORDINATES)
     x = list(range(m))  # x_i at dimension i-1
     xp = [m + i for i in range(m)]  # x_i' at dimension m+i-1
     aux = list(range(2 * m, d))  # alpha_0, alpha_1, alpha_1', ...
@@ -506,12 +538,7 @@ def reduce_3sat_to_euc(num_vars: int, clauses: Sequence[Sequence[int]]) -> Reduc
             raise GeneratorError(f"clause {cl!r} references an unknown variable")
     d = 2 * m
     n_clauses = len(clauses)
-    size = d * (3 * m + n_clauses)
-    if size > _SAT_MAX_COORDINATES:
-        raise GuardExceeded(
-            f"the reduction would hold {size} coordinates ({3 * m + n_clauses} agents in R^{d}), "
-            f"over the reduction guard ({_SAT_MAX_COORDINATES})"
-        )
+    _check_reduction_size(3 * m + n_clauses, "R", d, _SAT_MAX_COORDINATES)
     lit_weight = Fraction(n_clauses + 1)
     anchor_weight = Fraction(2 * m) * lit_weight + 1
     eta = m * anchor_weight + m * lit_weight + n_clauses

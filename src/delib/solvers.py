@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .linprog import solve_strict_rows
 from .space import (
@@ -32,7 +32,6 @@ from .space import (
     euclidean_point,
     grid_point,
     hypercube_point,
-    position_groups,
     score,
 )
 
@@ -144,8 +143,8 @@ def hyp_unanimous_proposal(
 # Hypercube: dimension types and the membership ILP.
 
 
-def _type_dimensions(space: DeliberationSpace, groups) -> dict[int, list[int]]:
-    """The dimensions of each signature (bit g = position group g's coordinate).
+def _type_dimensions(space: DeliberationSpace, positions: Sequence[Point]) -> dict[int, list[int]]:
+    """The dimensions of each signature (bit g = position g's coordinate).
 
     Dimensions sharing a signature are interchangeable, which is what makes
     the ILP formulation over per-type counters sound.
@@ -153,17 +152,9 @@ def _type_dimensions(space: DeliberationSpace, groups) -> dict[int, list[int]]:
     out: dict[int, list[int]] = {}
     for j in range(space.dim):
         bit = 1 << (space.dim - 1 - j)
-        sig = 0
-        for g, (pos, _, _) in enumerate(groups):
-            if pos.data & bit:
-                sig |= 1 << g
+        sig = sum(1 << g for g, pos in enumerate(positions) if pos.data & bit)
         out.setdefault(sig, []).append(j)
     return out
-
-
-def dimension_types(space: DeliberationSpace) -> dict[int, int]:
-    """Map each dimension signature to its count of dimensions."""
-    return {sig: len(dims) for sig, dims in _type_dimensions(space, position_groups(space)).items()}
 
 
 def _ilp_feasible(types: list[tuple[int, int]], n_groups: int, target: set[int]) -> dict[int, int] | None:
@@ -227,38 +218,6 @@ def _ilp_feasible(types: list[tuple[int, int]], n_groups: int, target: set[int])
     return None
 
 
-def solve_hyp_type_ilp(
-    space: DeliberationSpace,
-    target: Sequence[int],
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> dict[int, int] | None:
-    """Per-type counters of a proposal approved by exactly the target agents.
-
-    ``target`` holds agent indices.  Returns ``None`` when infeasible, e.g.
-    when the target separates co-located agents.  The guard counts distinct
-    positions, since those drive the number of types.
-    """
-    if space.kind is not Kind.HYPERCUBE:
-        raise ValueError("type ILP called on a non-hypercube space")
-    groups = position_groups(space)
-    limits.check("ilp_max_groups", len(groups))
-    target_set = set(target)
-    group_target: set[int] = set()
-    for g, (_, _, members) in enumerate(groups):
-        inside = sum(1 for i in members if i in target_set)
-        if inside not in (0, len(members)):
-            return None  # co-located agents approve identically
-        if inside:
-            group_target.add(g)
-    types = sorted((sig, len(dims)) for sig, dims in _type_dimensions(space, groups).items())
-    return _ilp_feasible(types, len(groups), group_target)
-
-
-def proposal_from_type_counts(space: DeliberationSpace, counts: dict[int, int]) -> Point:
-    """Materialise a proposal with the given number of ones per dimension type."""
-    return _proposal_from_types(space, _type_dimensions(space, position_groups(space)), counts)
-
-
 def _proposal_from_types(space: DeliberationSpace, by_type: dict[int, list[int]], counts: dict[int, int]) -> Point:
     mask = 0
     for sig, dims in by_type.items():
@@ -269,7 +228,7 @@ def _proposal_from_types(space: DeliberationSpace, by_type: dict[int, list[int]]
 
 
 def _subsets_by_weight_desc(weights: Sequence[Fraction]) -> Iterator[tuple[Fraction, tuple[int, ...]]]:
-    """All index subsets, lazily, by descending total weight.
+    """All nonempty index subsets, lazily, by descending total weight.
 
     Subsets are keyed by their sorted tuple of removed indices; children
     remove one further index beyond the last removed one, so each subset is
@@ -281,10 +240,47 @@ def _subsets_by_weight_desc(weights: Sequence[Fraction]) -> Iterator[tuple[Fract
     while heap:
         negw, removed = heapq.heappop(heap)
         kept = tuple(i for i in range(m) if i not in removed)
-        yield -negw, kept
+        if kept:
+            yield -negw, kept
         start = removed[-1] + 1 if removed else 0
         for j in range(start, m):
             heapq.heappush(heap, (negw + weights[j], removed + (j,)))
+
+
+def _heaviest_feasible(
+    weights: Sequence[Fraction], feasible: Callable[[tuple[int, ...]], object], stop_below: Fraction | None = None
+) -> tuple[tuple[tuple[int, ...], Fraction, object] | None, int]:
+    """Heaviest nonempty index subset whose ``feasible(kept)`` witness is not None.
+
+    Scans subsets by descending weight, so the first feasible one is the
+    maximum.  Returns ``((kept, weight, witness) or None, work)``, where
+    ``work`` counts the subsets decided; the subset is ``None`` when nothing
+    heavier than ``stop_below`` is feasible.
+    """
+    work = 0
+    for weight, kept in _subsets_by_weight_desc(weights):
+        if stop_below is not None and weight <= stop_below:
+            return None, work
+        work += 1
+        witness = feasible(kept)
+        if witness is not None:
+            return (kept, weight, witness), work
+    return None, work
+
+
+def _type_ilp_proposal(
+    space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None = None
+) -> tuple[Point | None, int]:
+    """``(proposal or None, work)`` of the heaviest position subset the membership ILP admits."""
+    grouped = distinct_positions(space)
+    limits.check("ilp_max_groups", len(grouped))
+    by_type = _type_dimensions(space, [pos for pos, _ in grouped])
+    types = sorted((sig, len(dims)) for sig, dims in by_type.items())
+    weights = [w for _, w in grouped]
+    found, work = _heaviest_feasible(weights, lambda kept: _ilp_feasible(types, len(grouped), set(kept)), stop_below)
+    if found is None:
+        return None, work
+    return _proposal_from_types(space, by_type, found[2]), work
 
 
 def best_strict_support(
@@ -294,13 +290,10 @@ def best_strict_support(
 ) -> tuple[tuple[tuple[int, ...], Fraction, tuple[Fraction, ...]] | None, int]:
     """Heaviest position subset admitting a common strictly-approving direction.
 
-    Scans subsets by descending weight and returns on the first feasible one,
-    which is therefore the maximum.  Only one-sided conditions are imposed:
-    extra approvers of the witness can only add weight, and the scan order
-    makes the first hit exact anyway.  Returns ``((indices, weight,
-    direction) or None, work)``, where ``work`` counts the subsets decided;
-    the subset is ``None`` when nothing heavier than ``stop_below`` is
-    feasible.
+    Runs :func:`_heaviest_feasible` with a strict-feasibility LP per subset.
+    Only one-sided conditions are imposed: extra approvers of the witness can
+    only add weight, and the scan order makes the first hit exact anyway.
+    Returns ``((indices, weight, direction) or None, work)``.
 
     Each infeasible LP yields a verified certificate whose support (the rows
     with nonzero multipliers) is itself infeasible, so every later subset
@@ -308,22 +301,17 @@ def best_strict_support(
     """
     rows = [(">",) + p.data for p in positions]
     cores: list[int] = []  # certificate supports as bit masks over positions
-    work = 0
-    for weight, kept in _subsets_by_weight_desc(weights):
-        if not kept:
-            continue
-        if stop_below is not None and weight <= stop_below:
-            return None, work
-        work += 1
+
+    def feasible(kept: tuple[int, ...]) -> tuple[Fraction, ...] | None:
         mask = sum(1 << i for i in kept)
         if any(core & mask == core for core in cores):
-            continue
+            return None
         x, y = solve_strict_rows(positions[0].dim, [rows[i] for i in kept])
-        if x is not None:
-            return (kept, weight, x), work
-        if y is not None:
+        if x is None and y is not None:
             cores.append(sum(1 << i for i, yi in zip(kept, y) if yi))
-    return None, work
+        return x
+
+    return _heaviest_feasible(weights, feasible, stop_below)
 
 
 def proposal_from_direction(positions: Sequence[Point], direction: Sequence[Fraction]) -> Point:
@@ -533,23 +521,13 @@ _METHODS = {
 def solve_hyp_popular_via_ilp(
     space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS
 ) -> SolverReport:
-    """Popular proposal by scanning agent subsets with the membership ILP."""
+    """Popular proposal by scanning position subsets with the membership ILP."""
     if space.kind is not Kind.HYPERCUBE:
         raise ValueError("hypercube solver called on a non-hypercube space")
-    groups = position_groups(space)
-    limits.check("ilp_max_groups", len(groups))
-    by_type = _type_dimensions(space, groups)
-    types = sorted((sig, len(dims)) for sig, dims in by_type.items())
-    weights = [w for _, w, _ in groups]
-    work = 0
-    for weight, kept in _subsets_by_weight_desc(weights):
-        if not kept:
-            continue
-        work += 1
-        counts = _ilp_feasible(types, len(groups), set(kept))
-        if counts is not None:
-            return _report(space, _proposal_from_types(space, by_type, counts), Method.HYP_TYPE_ILP, work)
-    raise AssertionError("some nonempty support is always feasible (self-approval)")
+    proposal, work = _type_ilp_proposal(space, limits)
+    if proposal is None:
+        raise AssertionError("some nonempty support is always feasible (self-approval)")
+    return _report(space, proposal, Method.HYP_TYPE_ILP, work)
 
 
 def _auto_method(space: DeliberationSpace) -> Method:
@@ -566,12 +544,15 @@ def score_exceeds(
 ) -> bool:
     """Whether some proposal scores more than ``threshold``.
 
-    Asked on the route ``auto`` takes, so the same guard fires first.  The
-    Euclidean routes stop at the first proposal heavier than the threshold
-    and skip every subset or sign pattern that cannot be; hypercube and grid
-    spaces solve in full.  At a threshold of at least the total weight the
-    answer is no, and a Euclidean route decides it without an LP.
+    Asked on the route ``auto`` takes, so the same guard fires first; a
+    hypercube within the ILP guard, where no guard fires, asks the type ILP.
+    The subset scans and the cells scan stop at the first proposal heavier
+    than the threshold; other hypercubes and grid spaces solve in full.  At a
+    threshold of at least the total weight the answer is no without an LP.
     """
+    if space.kind is Kind.HYPERCUBE and len(distinct_positions(space)) <= limits.ilp_max_groups:
+        proposal, _ = _type_ilp_proposal(space, limits, stop_below=threshold)
+        return proposal is not None
     method = _auto_method(space)
     if method is Method.EUC_CELLS:
         found, _, _ = _cells_scan(space, stop_below=threshold)

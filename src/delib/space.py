@@ -350,14 +350,3 @@ def distinct_positions(space: DeliberationSpace) -> tuple[tuple[Point, Fraction]
         acc[a.position] = acc.get(a.position, Fraction(0)) + a.weight
     return tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
 
-
-def position_groups(space: DeliberationSpace) -> tuple[tuple[Point, Fraction, tuple[int, ...]], ...]:
-    """Like :func:`distinct_positions` but with the member agent indices."""
-    acc: dict[Point, list[int]] = {}
-    for i, a in enumerate(space.agents):
-        acc.setdefault(a.position, []).append(i)
-    out = []
-    for pos in sorted(acc, key=lambda p: p.sort_key()):
-        idx = tuple(acc[pos])
-        out.append((pos, sum((space.agents[i].weight for i in idx), Fraction(0)), idx))
-    return tuple(out)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from delib import instancefile
+from delib import generators, instancefile
 from delib.cli import main
 from delib.dynamics import Coalition, CoalitionStructure, singleton_structure
 from delib.generators import gen_euc_slow, gen_random
@@ -193,6 +193,23 @@ class TestCli:
         assert run_cli("generate", "--family", "exp-compromise", "--d", "29", "--out", str(out)) == 5
         assert run_cli("generate", "--family", "hyp-slow", "--n", "1", "--out", str(out)) == 5
 
+    def test_exp_compromise_size_guard(self, tmp_path, capsys, monkeypatch):
+        # d=82 would hold 84 coalitions of 4,960,116 agents each; d=55, the
+        # largest accepted, is built in test_generators.
+        out = tmp_path / "exp.json"
+        assert run_cli("generate", "--family", "exp-compromise", "--d", "28", "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        doc["meta"]["d"] = 82
+        out.write_text(json.dumps(doc))
+        monkeypatch.setattr(generators, "_chain_disjoint", lambda sets: pytest.fail("the construction was built"))
+        capsys.readouterr()
+        line = "error: the construction for d=82 would hold 416649744 agents, over the exp-compromise guard (328050)\n"
+        big = tmp_path / "big.json"
+        assert run_cli("generate", "--family", "exp-compromise", "--d", "82", "--out", str(big)) == 5
+        assert capsys.readouterr() == ("", line) and not big.exists()
+        assert run_cli("verify", "--what", "exp-compromise", "--in", str(out)) == 3
+        assert capsys.readouterr() == ("", line)
+
     def test_exp_compromise_generate_verify(self, tmp_path, capsys):
         out = tmp_path / "exp.json"
         assert run_cli("generate", "--family", "exp-compromise", "--d", "28", "--out", str(out)) == 0
@@ -244,6 +261,21 @@ class TestCli:
         assert captured.err == (
             "error: the reduction would hold 100200 coordinates (501 agents in R^200), "
             "over the reduction guard (100000)\n"
+        )
+
+    def test_reduce_indep_set_size_guard(self, tmp_path, capsys):
+        # 311 vertices and kappa 2 give {0,1}^625 and 1,251 agents, plus one
+        # agent per edge: 349 edges reach the 1,000,000-coordinate guard, 350 exceed it.
+        graph, out = tmp_path / "g.txt", tmp_path / "o.json"
+        chain = [(i, i + 1) for i in range(1, 311)] + [(i, i + 2) for i in range(1, 41)]
+        for count, code in ((349, 0), (350, 3)):
+            graph.write_text(f"p 311 {count}\n" + "".join(f"{u} {v}\n" for u, v in chain[:count]))
+            assert run_cli("reduce", "--from", "indep-set", "--in", str(graph), "--kappa", "2", "--out", str(out)) == code
+        captured = capsys.readouterr()
+        assert captured.out == f"written={out} cert={out}.cert.json d=625 agents=1600 unanimous\n"
+        assert captured.err == (
+            "error: the reduction would hold 1000625 coordinates (1601 agents in {0,1}^625), "
+            "over the reduction guard (1000000)\n"
         )
 
     def test_malformed_instance_exit(self, tmp_path, capsys):

@@ -20,16 +20,13 @@ from delib.solvers import (
     Method,
     SolverLimits,
     best_strict_support,
-    dimension_types,
     hyp_unanimous_proposal,
-    proposal_from_type_counts,
     solve_euc_cells,
     solve_euc_perfect,
     solve_euc_subsets,
     solve_grid_four,
     solve_hyp_bruteforce,
     solve_hyp_popular_via_ilp,
-    solve_hyp_type_ilp,
     solve_popular,
     score_exceeds,
 )
@@ -158,16 +155,25 @@ class TestHypBruteforce:
         assert all(test(space.agents[i]) for i in report.supporters)
 
 
+def type_ilp_parts(space):
+    """The type ILP's inputs: distinct positions, dimensions by type, (type, count) pairs."""
+    positions = [pos for pos, _ in distinct_positions(space)]
+    by_type = solvers._type_dimensions(space, positions)
+    return positions, by_type, sorted((sig, len(dims)) for sig, dims in by_type.items())
+
+
 class TestTypeIlp:
     def test_colocated_split_infeasible(self):
-        space = hyp_space([[1, 0, 1], [1, 0, 1]])
-        assert solve_hyp_type_ilp(space, [0]) is None
+        # Co-located agents share one ILP group, so no proposal splits them.
+        report = solve_hyp_popular_via_ilp(hyp_space([[1, 0, 1], [1, 0, 1]]))
+        assert report.supporters == (0, 1)
 
     def test_slow_family_singleton_feasible(self):
         space = gen_hyp_slow(2).space
-        counts = solve_hyp_type_ilp(space, [0])
+        positions, by_type, types = type_ilp_parts(space)
+        counts = solvers._ilp_feasible(types, len(positions), {positions.index(space.agents[0].position)})
         assert counts is not None
-        proposal = proposal_from_type_counts(space, counts)
+        proposal = solvers._proposal_from_types(space, by_type, counts)
         assert approver_indices(space, proposal) == (0,)
 
     def test_empty_target_matches_scan(self):
@@ -175,18 +181,40 @@ class TestTypeIlp:
         for _ in range(20):
             n, d = rng.randint(1, 4), rng.randint(2, 8)
             space = gen_random("hypercube", n, d, seed=rng.randrange(2 ** 30))
-            counts = solve_hyp_type_ilp(space, [])
+            positions, by_type, types = type_ilp_parts(space)
+            counts = solvers._ilp_feasible(types, len(positions), set())
             exists = any(
                 score(space, hypercube_point(m, d)) == 0 for m in range(1, 1 << d)
             )
             assert (counts is not None) == exists
             if counts is not None:
-                proposal = proposal_from_type_counts(space, counts)
+                proposal = solvers._proposal_from_types(space, by_type, counts)
                 assert score(space, proposal) == 0
+
+    def test_nonempty_targets_match_scan(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            n, d = rng.randint(1, 4), rng.randint(2, 8)
+            space = gen_random("hypercube", n, d, seed=rng.randrange(2 ** 30))
+            positions, by_type, types = type_ilp_parts(space)
+            # Position g approves mask m when more than half of m's ones are g's.
+            supports = {
+                frozenset(g for g, pos in enumerate(positions) if m.bit_count() < 2 * (pos.data & m).bit_count())
+                for m in range(1, 1 << d)
+            }
+            for size in range(1, len(positions) + 1):
+                for target in itertools.combinations(range(len(positions)), size):
+                    counts = solvers._ilp_feasible(types, len(positions), set(target))
+                    assert (counts is not None) == (frozenset(target) in supports)
+                    if counts is not None:
+                        proposal = solvers._proposal_from_types(space, by_type, counts)
+                        approvers = {positions.index(space.agents[i].position) for i in approver_indices(space, proposal)}
+                        assert approvers == set(target)
 
     def test_type_counts_partition_dimensions(self):
         space = gen_hyp_slow(4).space
-        assert sum(dimension_types(space).values()) == space.dim
+        _, by_type, _ = type_ilp_parts(space)
+        assert sorted(j for dims in by_type.values() for j in dims) == list(range(space.dim))
 
     def test_guard(self):
         space = gen_random("hypercube", 11, 12, seed=1)
@@ -194,13 +222,10 @@ class TestTypeIlp:
         message = r"^11 distinct positions exceed the ILP guard \(10\)$"
         with pytest.raises(GuardExceeded, match=message):
             solve_hyp_popular_via_ilp(space)
-        with pytest.raises(GuardExceeded, match=message):
-            solve_hyp_type_ilp(space, [0])
         at_limit = DeliberationSpace(Kind.HYPERCUBE, 12, space.agents[:10])
         assert len(distinct_positions(at_limit)) == 10
         report = solve_hyp_popular_via_ilp(at_limit)
         assert report.best_score == solve_hyp_bruteforce(at_limit).best_score
-        assert solve_hyp_type_ilp(at_limit, report.supporters) is not None
 
 
 class TestHypOracleAgreement:
@@ -487,6 +512,40 @@ class TestScoreExceeds:
         space = gen_random("euclidean", 8, d, seed=3)
         assert not score_exceeds(space, space.total_weight)
         assert calls == []
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_matches_the_popular_score_on_hypercubes(self, d, data):
+        # Up to 13 agents: the type ILP within its guard, brute force past it.
+        n = data.draw(st.integers(1, 13))
+        coords = st.lists(st.integers(0, 1), min_size=d, max_size=d).filter(any)
+        weights = st.builds(Fraction, st.integers(1, 6), st.integers(1, 3))
+        agents = data.draw(st.lists(st.tuples(coords, weights), min_size=n, max_size=n))
+        space = DeliberationSpace(Kind.HYPERCUBE, d, tuple(Agent(hypercube_point(c), w) for c, w in agents))
+        popular = solve_popular(space, "auto").best_score
+        smallest = min(a.weight for a in space.agents)
+        for s in (popular, popular - smallest, Fraction(0), space.total_weight):
+            assert score_exceeds(space, s) == (popular > s)
+
+    def test_hypercube_within_the_ilp_guard_skips_the_mask_scan(self, monkeypatch):
+        space = gen_random("hypercube", 10, 14, seed=2)
+        assert len(distinct_positions(space)) == 10
+        popular = solve_popular(space).best_score
+
+        def mask_scan(*args):
+            raise AssertionError("the mask scan ran")
+
+        monkeypatch.setattr(solvers, "_heaviest_mask", mask_scan)
+        assert score_exceeds(space, popular - 1) and not score_exceeds(space, popular)
+
+    def test_guard_past_the_ilp_guard_matches_auto(self):
+        space = gen_random("hypercube", 11, 21, seed=1)
+        assert len(distinct_positions(space)) == 11
+        message = r"^11 distinct positions exceed the ILP guard \(10\)$"
+        with pytest.raises(GuardExceeded, match=message):
+            solve_popular(space, "auto")
+        with pytest.raises(GuardExceeded, match=message):
+            score_exceeds(space, Fraction(0))
 
     def test_hypercube_and_grid_solve_in_full(self):
         for space in (gen_random("hypercube", 5, 6, seed=1), gen_random("grid", 5, 2, seed=1)):
