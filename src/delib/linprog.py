@@ -1,11 +1,15 @@
 """Exact rational linear programming for strict feasibility questions.
 
 The systems solved here are tiny and must be decided exactly.  The solver
-is a dense tableau simplex with Bland's rule (which cannot cycle), run in
-scaled integer arithmetic: every tableau row is a vector of integer
-numerators with one positive denominator, so a pivot is integer
-cross-multiplication plus a gcd normalisation, and ratio tests compare
-integer products.  Fractions appear only in the witness.
+is a simplex with Bland's rule (which cannot cycle) on a condensed,
+fraction-free tableau.  Condensed (Tucker's Jordan exchange): only the
+nonbasic columns and the right-hand side are stored; ``labels[j]`` names
+the variable in column j, ``basis[i]`` the one basic in row i, and a pivot
+swaps the two.  Fraction-free (Bareiss 1968; Edmonds 1967): every entry is
+an integer numerator over one denominator ``D > 0``, the previous pivot
+element (the basis determinant), so a pivot is integer cross-multiplication
+divided exactly by ``D``, and ratio tests compare integer products.
+Fractions appear only in the witness.
 
 Every system is homogeneous: rows ``<N / q, x> > 0`` and ``<N / q, x> <= 0``
 given as integer rows ``(REL, q, N)`` with ``N`` sparse ``(index,
@@ -18,15 +22,16 @@ is feasible exactly when the optimum is positive.  Every right-hand side is
 0 or 1, so the slack basis is feasible from the start and one simplex phase
 suffices.
 
-When the system is strictly infeasible, the margin optimum is 0 and the
-final objective row's slack columns hold multipliers ``y >= 0`` with
+When the system is strictly infeasible, the margin optimum is 0, and the
+final objective row, read at the rows' slack labels (0 for a basic slack)
+and reduced to lowest terms, holds multipliers ``y >= 0`` with
 
     sum over ``>`` rows of y_i N_i  -  sum over ``<=`` rows of y_i N_i  =  0
 
 and some ``y_i > 0`` on a ``>`` row.  By Motzkin's transposition theorem
 no ``x`` satisfies the rows it names, and neither does any system that
-contains them; :func:`solve_strict_rows` returns such a certificate only
-after checking it in integers.
+contains them.  :func:`solve_strict_rows` checks a witness or a certificate
+in integers before it returns either.
 """
 
 from __future__ import annotations
@@ -34,61 +39,53 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-_ZERO = Fraction(0)
-
 
 class MalformedSystem(ValueError):
-    """Raised for an unbounded margin objective."""
+    """Raised for an unknown relation, an unbounded objective or a failed witness."""
 
 
 # ---------------------------------------------------------------------------
-# Integer tableau core.  nums[i] is a list of integer numerators, dens[i] the
-# shared positive denominator of row i; the last row is the objective and the
-# last column the right-hand side.
+# Condensed integer tableau core.  T[i] holds the numerators of row i over
+# the shared denominator D: one per nonbasic column, then the right-hand side;
+# the last row is the objective.
 
 
-def _normalise(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = gcd(den, *nums)
-    if g > 1:
-        return [v // g for v in nums], den // g
-    return nums, den
-
-
-def _pivot(nums, dens, basis, row, col):
-    prow = nums[row]
+def _pivot(T, basis, labels, row, col, D):
+    """Exchange ``basis[row]`` with ``labels[col]``; returns the new ``D``."""
+    prow = T[row]
     q = prow[col]
-    if q < 0:
-        prow = [-v for v in prow]
-        q = -q
-    prow, pden = _normalise(prow, q)
-    nums[row], dens[row] = prow, pden
-    for i in range(len(nums)):
+    for i, line in enumerate(T):
         if i == row:
             continue
-        line = nums[i]
         f = line[col]
-        if f == 0:
-            continue
-        merged = [a * pden - f * p for a, p in zip(line, prow)]
-        nums[i], dens[i] = _normalise(merged, dens[i] * pden)
-    if basis is not None:
-        basis[row] = col
+        if f:
+            line = [(a * q - f * p) // D for a, p in zip(line, prow)]
+            line[col] = -f
+        elif q != D:
+            line = [a * q // D for a in line]
+        T[i] = line
+    prow[col] = D
+    basis[row], labels[col] = labels[col], basis[row]
+    return q
 
 
-def _simplex_max(nums, dens, basis, ncols):
-    """Maximise the objective held in the last row.  Bland's rule."""
-    obj = len(nums) - 1
+def _simplex_max(T, basis, labels):
+    """Maximise the objective held in the last row.  Bland's rule: enter the
+    negative reduced cost with the smallest label, leave by the least ratio,
+    ties to the smallest basic label.  Returns the final ``D``."""
+    obj = len(T) - 1
+    D = 1
     while True:
-        objrow = nums[obj]
-        col = next((j for j in range(ncols) if objrow[j] < 0), None)
+        objrow = T[obj]
+        col = min((j for j, v in enumerate(objrow[:-1]) if v < 0), key=labels.__getitem__, default=None)
         if col is None:
-            return
+            return D
         best_row = None
         best_num = best_den = 0  # ratio = best_num / best_den, best_den > 0
         for r in range(obj):
-            a = nums[r][col]
+            a = T[r][col]
             if a > 0:
-                num, den = nums[r][-1], a
+                num, den = T[r][-1], a
                 if (
                     best_row is None
                     or num * best_den < best_num * den
@@ -97,64 +94,60 @@ def _simplex_max(nums, dens, basis, ncols):
                     best_row, best_num, best_den = r, num, den
         if best_row is None:
             raise MalformedSystem("objective unbounded; the system is missing box constraints")
-        _pivot(nums, dens, basis, best_row, col)
+        D = _pivot(T, basis, labels, best_row, col, D)
 
 
 def _max_margin(d: int, rows):
     """Maximise the margin over the homogeneous integer rows ``(REL, q, N)``.
 
     ``A z <= b`` holds the rows over ``z = (p, r, delta)`` with ``x = p - r``,
-    then the cap ``delta <= 1`` and the box rows.  Returns ``(x, y)``: the
-    witness if the optimum is positive, else None, and the objective row on
-    the rows' slack columns.
+    then the cap ``delta <= 1`` and the box rows.  Returns ``(x, y)``: if the
+    optimum is positive, ``x = (D, u)`` with witness ``u / D``, else None;
+    and the objective row on the rows' slack labels, in lowest terms.
     """
     n = 2 * d + 1
     delta = 2 * d
-    A: list[list[int]] = []
-    b: list[int] = []
+    T: list[list[int]] = []
 
     def emit(sign, pairs, bi, margin=0):
-        row = [0] * n
+        row = [0] * (n + 1)
         for j, c in pairs:
             row[j] = sign * c
             row[d + j] = -sign * c
         row[delta] = margin
-        A.append(row)
-        b.append(bi)
+        row[n] = bi
+        T.append(row)
 
     for rel, q, pairs in rows:
         if rel == "<=":
             emit(1, pairs, 0)
-        else:  # strict: <N, x> >= q delta
+        elif rel == ">":  # <N, x> >= q delta
             emit(-1, pairs, 0, margin=q)
+        else:
+            raise MalformedSystem(f"unknown relation {rel!r}; expected '>' or '<='")
     # Cap the margin so the objective stays bounded even without strict rows;
     # any positive optimum still certifies strict feasibility.
-    A.append([0] * delta + [1])
-    b.append(1)
+    T.append([0] * delta + [1, 1])
     for j in range(d):
         emit(1, ((j, 1),), 1)
         emit(-1, ((j, 1),), 1)
 
-    m = len(A)
-    nums = [row + [0] * m + [bi] for row, bi in zip(A, b)]
-    for i, row in enumerate(nums):
-        row[n + i] = 1  # slack
+    m = len(T)
+    labels = list(range(n))
     basis = list(range(n, n + m))
-    dens = [1] * m
     # Maximise delta.  Every b is 0 or 1, so the slack basis is feasible, and
     # delta is nonbasic there, so the objective row needs no reduction.
-    nums.append([0] * delta + [-1] + [0] * (m + 1))
-    dens.append(1)
-    _simplex_max(nums, dens, basis, n + m)
+    T.append([0] * delta + [-1, 0])
+    D = _simplex_max(T, basis, labels)
 
-    y = nums[-1][n : n + m - 1 - 2 * d]
-    if nums[-1][-1] <= 0:
+    objrow = T[-1]
+    g = gcd(D, *objrow)
+    column = {label: j for j, label in enumerate(labels)}
+    y = [objrow[column[s]] // g if s in column else 0 for s in range(n, n + len(rows))]
+    if objrow[-1] <= 0:
         return None, y
-    z = [_ZERO] * n
-    for r in range(m):
-        if basis[r] < n:
-            z[basis[r]] = Fraction(nums[r][-1], dens[r])
-    return tuple(z[j] - z[d + j] for j in range(d)), y
+    z = {label: T[r][-1] for r, label in enumerate(basis)}
+    return (D, [z.get(j, 0) - z.get(d + j, 0) for j in range(d)]), y
 
 
 def solve_strict_rows(d: int, rows) -> tuple[tuple[Fraction, ...] | None, tuple[int, ...] | None]:
@@ -164,15 +157,21 @@ def solve_strict_rows(d: int, rows) -> tuple[tuple[Fraction, ...] | None, tuple[
     ``N`` sparse ``(index, numerator)`` pairs.  Returns ``(x, None)`` with a
     rational ``x`` satisfying every row, strict rows strictly, or
     ``(None, y)`` with one multiplier per row that passed the check in the
-    module docstring; ``(None, None)`` if they did not.
+    module docstring; ``(None, None)`` if they did not.  Raises
+    :class:`MalformedSystem` for another relation, or if the witness fails.
     """
     x, y = _max_margin(d, rows)
     if x is not None:
-        return x, None
+        D, u = x
+        for rel, _, pairs in rows:
+            value = sum(c * u[j] for j, c in pairs)
+            if value <= 0 if rel == ">" else value > 0:
+                raise MalformedSystem(f"the simplex witness fails the row {rel} {pairs}")
+        return tuple(Fraction(v, D) for v in u), None
     total = [0] * d
     strict = False
     for (rel, _, pairs), v in zip(rows, y):
-        if v < 0 or rel not in (">", "<="):
+        if v < 0:
             return None, None
         strict = strict or (v > 0 and rel == ">")
         v = v if rel == ">" else -v

@@ -382,8 +382,9 @@ def _cells_scan_cost(n: int, d: int) -> int:
 
     Before position m + 1 the scan holds at most about 2 * sum_{k<d} C(m-1, k)
     sign patterns, the cells of a central arrangement of m hyperplanes in
-    general position, and extending one solves an LP over m + 1 rows whose
-    tableau has about (m + 1)^2 entries.
+    general position, and extending one solves an LP over m + 1 rows, whose
+    cost grows about as (m + 1)^2: more rows take more pivots, and each pivot
+    updates every row.
     """
     return sum(
         (2 * sum(math.comb(m - 1, k) for k in range(d)) if m else 1) * (m + 1) ** 2
@@ -392,9 +393,10 @@ def _cells_scan_cost(n: int, d: int) -> int:
 
 
 # The cells guard: the estimate at 32 positions in R^3.  On a 2-vCPU x86
-# machine, random instances at the largest accepted sizes took 9-10 s at 32
-# positions in R^3, 5.3-5.4 s at 59 in R^2 and 8-10 s at 212 in R^1; the
-# rejected 33 positions in R^3 took 10-12 s, and 40 took 25-29 s.
+# machine, random instances with distinct positions at the largest accepted
+# sizes took 3.4-3.7 s at 32 positions in R^3, 0.9-1.1 s at 59 in R^2 and
+# 0.6-0.8 s at 212 in R^1; the rejected 33 positions in R^3 took 4.1-4.7 s,
+# and 40 took 7.6-10.2 s.
 _CELLS_SCAN_BUDGET = _cells_scan_cost(32, 3)
 
 

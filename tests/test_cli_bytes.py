@@ -22,10 +22,13 @@ EXPECTED = {
     "euc-8x3-cells.json": "41893fc1c8c00422ecfd78aca46c3d9db407672658e9a80b633e3614be1ad1c1",
 }
 
-# Three-variable formulas in DIMACS form; both are satisfiable.
+# Three-variable formulas in DIMACS form.  The first two are satisfiable;
+# "unsat8" holds all eight sign patterns, so its subset scan decides 5,658
+# subsets with 12 LPs and prunes the rest by their certificates.
 FORMULAS = {
     "sat2": "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n",
     "sat3": "p cnf 3 3\n1 2 3 0\n-1 -2 -3 0\n1 -2 3 0\n",
+    "unsat8": "p cnf 3 8\n" + "".join(f"{a} {b} {c} 0\n" for a in (1, -1) for b in (2, -2) for c in (3, -3)),
 }
 
 EXPECTED_LP = {
@@ -37,6 +40,9 @@ EXPECTED_LP = {
     "euc-8x3-s7-subset-lp.json": "95b5233f18c9f6057bb0afb946086e7e99eee484fb2ab4abd47102c5d9eba62b",
     "euc-8x3-s7-cells.json": "791e4e6bf0609da3103664a81c586d99a2dd5735cb51f9aa463785471eea086d",
     "euc-8x3-greedy-fast.csv": "09bdf4cc0d25a760043fbf943a44fc29175ebc6c266b9b7d2afbc3f8b6be0f44",
+    "unsat8-subset-lp.json": "03cca3d4321b9c654072a492fc2f5ad729a08d6eb97b8fed9b4484cd2791ac92",
+    "euc-slow-16-subset-lp.json": "cbd41f1b002bac6b6144b484bddf7b7b245ad4886695c98b06163bef8723b43d",
+    "euc-12x5-s5-subset-lp.json": "c3931d4928888d58e869cb5d96ad7be22e8b6f159f225d5702c781011a60e508",
 }
 
 EXPECTED_HYP_GRID = {
@@ -103,6 +109,14 @@ def build_lp_corpus(tmp) -> dict[str, bytes]:
     run("generate", "--family", "random", "--kind", "euclidean", "--n", 8, "--d", 3, "--seed", 3, "--out", rand)
     run("simulate", "--space", rand, "--scheduler", "greedy-fast", "--trace", tmp / "euc-8x3-greedy-fast.csv")
     outputs["euc-8x3-greedy-fast.csv"] = (tmp / "euc-8x3-greedy-fast.csv").read_bytes()
+    # The d = 16 tableau of the slow family, and a d >= 4 random instance.
+    slow, wide = tmp / "euc-slow-16.json", tmp / "euc-12x5-s5.json"
+    run("generate", "--family", "euc-slow", "--n", 16, "--out", slow)
+    run("generate", "--family", "random", "--kind", "euclidean", "--n", 12, "--d", 5, "--seed", 5, "--out", wide)
+    for inst in (slow, wide):
+        out = tmp / f"{inst.stem}-subset-lp.json"
+        run("solve", "--space", inst, "--method", "subset-lp", "--json", out)
+        outputs[out.name] = out.read_bytes()
     return outputs
 
 

@@ -4,17 +4,23 @@ For planar homogeneous systems, strict feasibility has an independent exact
 answer via an angular sweep with symbolic perturbation; the LP must agree
 with it on random instances.  The integer-row entry point must return either
 a witness that satisfies every row or an infeasibility certificate that
-checks out in plain Fractions.
+checks out in plain Fractions.  The condensed fraction-free core must take
+the same pivots and give the same witness and multipliers as the dense
+tableau with per-row denominators, kept below as the reference.
 """
 
 import random
+import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from delib import linprog
-from delib.linprog import solve_strict_rows
+from delib.generators import gen_euc_slow
+from delib.linprog import MalformedSystem, solve_strict_rows
 from delib.space import euclidean_point
 
 
@@ -171,3 +177,193 @@ class TestIntegerRows:
         real = linprog._max_margin
         monkeypatch.setattr(linprog, "_max_margin", lambda d, r: (real(d, r)[0], [1, 2]))
         assert solve_strict_rows(1, rows) == (None, None)
+
+
+class TestMalformed:
+    def test_unknown_relation_is_refused(self):
+        with pytest.raises(MalformedSystem, match="unknown relation"):
+            solve_strict_rows(1, [(">", 1, ((0, 1),)), (">=", 1, ((0, 1),))])
+
+    def test_wrong_witness_is_refused(self, monkeypatch):
+        rows = [(">", 1, ((0, 1),)), ("<=", 1, ((0, -1), (1, 1)))]
+        assert solve_strict_rows(2, rows)[0] is not None
+        # x = (1, 2) / 3 is strict on the first row but breaks the second.
+        monkeypatch.setattr(linprog, "_max_margin", lambda d, r: ((3, [1, 2]), None))
+        with pytest.raises(MalformedSystem, match="witness"):
+            solve_strict_rows(2, rows)
+
+
+# ---------------------------------------------------------------------------
+# Reference core: the dense tableau (identity columns carried along) with one
+# denominator per row and a gcd normalisation per row update, verbatim.
+
+_ZERO = Fraction(0)
+
+
+def _normalise(nums: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(den, *nums)
+    if g > 1:
+        return [v // g for v in nums], den // g
+    return nums, den
+
+
+def _pivot(nums, dens, basis, row, col):
+    prow = nums[row]
+    q = prow[col]
+    if q < 0:
+        prow = [-v for v in prow]
+        q = -q
+    prow, pden = _normalise(prow, q)
+    nums[row], dens[row] = prow, pden
+    for i in range(len(nums)):
+        if i == row:
+            continue
+        line = nums[i]
+        f = line[col]
+        if f == 0:
+            continue
+        merged = [a * pden - f * p for a, p in zip(line, prow)]
+        nums[i], dens[i] = _normalise(merged, dens[i] * pden)
+    if basis is not None:
+        basis[row] = col
+
+
+def _simplex_max(nums, dens, basis, ncols):
+    """Maximise the objective held in the last row.  Bland's rule."""
+    obj = len(nums) - 1
+    while True:
+        objrow = nums[obj]
+        col = next((j for j in range(ncols) if objrow[j] < 0), None)
+        if col is None:
+            return
+        best_row = None
+        best_num = best_den = 0  # ratio = best_num / best_den, best_den > 0
+        for r in range(obj):
+            a = nums[r][col]
+            if a > 0:
+                num, den = nums[r][-1], a
+                if (
+                    best_row is None
+                    or num * best_den < best_num * den
+                    or (num * best_den == best_num * den and basis[r] < basis[best_row])
+                ):
+                    best_row, best_num, best_den = r, num, den
+        if best_row is None:
+            raise MalformedSystem("objective unbounded; the system is missing box constraints")
+        _pivot(nums, dens, basis, best_row, col)
+
+
+def _max_margin(d: int, rows):
+    """Maximise the margin over the homogeneous integer rows ``(REL, q, N)``.
+
+    ``A z <= b`` holds the rows over ``z = (p, r, delta)`` with ``x = p - r``,
+    then the cap ``delta <= 1`` and the box rows.  Returns ``(x, y)``: the
+    witness if the optimum is positive, else None, and the objective row on
+    the rows' slack columns.
+    """
+    n = 2 * d + 1
+    delta = 2 * d
+    A: list[list[int]] = []
+    b: list[int] = []
+
+    def emit(sign, pairs, bi, margin=0):
+        row = [0] * n
+        for j, c in pairs:
+            row[j] = sign * c
+            row[d + j] = -sign * c
+        row[delta] = margin
+        A.append(row)
+        b.append(bi)
+
+    for rel, q, pairs in rows:
+        if rel == "<=":
+            emit(1, pairs, 0)
+        else:  # strict: <N, x> >= q delta
+            emit(-1, pairs, 0, margin=q)
+    # Cap the margin so the objective stays bounded even without strict rows;
+    # any positive optimum still certifies strict feasibility.
+    A.append([0] * delta + [1])
+    b.append(1)
+    for j in range(d):
+        emit(1, ((j, 1),), 1)
+        emit(-1, ((j, 1),), 1)
+
+    m = len(A)
+    nums = [row + [0] * m + [bi] for row, bi in zip(A, b)]
+    for i, row in enumerate(nums):
+        row[n + i] = 1  # slack
+    basis = list(range(n, n + m))
+    dens = [1] * m
+    # Maximise delta.  Every b is 0 or 1, so the slack basis is feasible, and
+    # delta is nonbasic there, so the objective row needs no reduction.
+    nums.append([0] * delta + [-1] + [0] * (m + 1))
+    dens.append(1)
+    _simplex_max(nums, dens, basis, n + m)
+
+    y = nums[-1][n : n + m - 1 - 2 * d]
+    if nums[-1][-1] <= 0:
+        return None, y
+    z = [_ZERO] * n
+    for r in range(m):
+        if basis[r] < n:
+            z[basis[r]] = Fraction(nums[r][-1], dens[r])
+    return tuple(z[j] - z[d + j] for j in range(d)), y
+
+
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_reference(d, rows):
+    """Same witness, multipliers and pivot count as the reference core."""
+    with mock.patch.object(linprog, "_pivot", wraps=linprog._pivot) as new, \
+            mock.patch.object(sys.modules[__name__], "_pivot", wraps=_pivot) as old:
+        x, y = linprog._max_margin(d, rows)
+        expected = _max_margin(d, rows)
+    if x is not None:
+        D, u = x
+        x = tuple(Fraction(v, D) for v in u)
+    assert (x, y) == expected
+    assert new.call_count == old.call_count
+
+
+@st.composite
+def mixed_systems(draw):
+    """(d, rows): ``>``/``<=`` integer rows with d <= 6 and coefficients in
+    +-9, so ratio ties and degenerate pivots occur; a row may repeat an
+    earlier one or be its antipode."""
+    d = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        rel = draw(st.sampled_from((">", "<=")))
+        if rows and draw(st.booleans()):
+            _, q, pairs = draw(st.sampled_from(rows))
+            if draw(st.booleans()):
+                pairs = tuple((j, -c) for j, c in pairs)
+        else:
+            q = draw(st.integers(1, 9))
+            coeffs = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+            pairs = tuple((j, c) for j, c in enumerate(coeffs) if c)
+        rows.append((rel, q, pairs))
+    return d, rows
+
+
+class TestAgainstReferenceCore:
+    @settings(max_examples=400, deadline=None)
+    @given(mixed_systems())
+    def test_random_mixed_rows(self, system):
+        assert_matches_reference(*system)
+
+    def test_euc_slow_16_strict_supports(self):
+        # The strict-support LPs of the d = 16 slow family: each prefix of the
+        # unit positions (all 16 is what the subset scan solves), that prefix
+        # with its own support proposal made weak (infeasible, so the
+        # certificate path runs) and with the complement's (feasible).
+        inst = gen_euc_slow(16)
+        units = [(">",) + a.position.data for a in inst.space.agents]
+        support = lambda members: ("<=",) + inst.support_oracle(frozenset(members)).data
+        for k in range(1, 17):
+            assert_matches_reference(16, units[:k])
+            assert_matches_reference(16, units[:k] + [support(range(k))])
+            assert solve_strict_rows(16, units[:k] + [support(range(k))])[1] is not None
+            if k < 16:
+                assert_matches_reference(16, units[:k] + [support(range(k, 16))])
