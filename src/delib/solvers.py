@@ -7,6 +7,12 @@ brute force against the dimension-type ILP, and the subset LP against
 hyperplane-arrangement cell enumeration, so each pair can act as oracle for
 the other.
 
+The hypercube brute force and the hypercube compromise search share one
+exhaustive scan, :func:`_heaviest_mask`.  It is word-parallel: Python ints
+serve as bitsets over 2^12 proposal masks at a time, each position's
+approval set for such a chunk is one table lookup, and the integer-scaled
+weights are summed in bit-sliced counters.
+
 All problems solved here are NP-hard in general; the exponential routes are
 protected by explicit guards and fail loudly instead of hanging.
 """
@@ -18,7 +24,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linprog import solve_strict_rows
 from .space import (
@@ -53,6 +59,9 @@ _GUARD_MESSAGES = {
 class SolverLimits:
     """Size guards; exceeding one raises :class:`GuardExceeded`."""
 
+    # At d = 26 on a 2-vCPU x86 machine, brute force over 8 random agents
+    # takes 0.25 s in the mask scan; the unanimity scan, still one mask at a
+    # time, takes 51 s when no proposal is unanimous (two antipodal agents).
     hyp_brute_max_dim: int = 26
     ilp_max_groups: int = 10
     subset_max_groups: int = 22
@@ -90,8 +99,45 @@ def _report(space: DeliberationSpace, proposal: Point, method: Method, work: int
     return SolverReport(proposal, total, supporters, method, work)
 
 
+def _over_common_denominator(weights: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """``(q, numerators)``: q is the lcm of the weights' denominators, and
+    each weight is its numerator over q."""
+    weights = list(weights)
+    scale = math.lcm(*(w.denominator for w in weights))
+    return scale, [w.numerator * (scale // w.denominator) for w in weights]
+
+
 # ---------------------------------------------------------------------------
 # Hypercube: exhaustive scan.
+
+
+# The mask scan's chunk: proposals are tested 2^12 at a time, as the bits of
+# one Python int indexed by the low 12 coordinates of the mask.
+_CHUNK_BITS = 12
+
+
+def _approval_table(low: int, width: int) -> list[int]:
+    """The chunk-wide approval sets of one position's low ``width`` bits.
+
+    Entry ``t + width + 1`` (t from -width-1 to width) is the bitset of the
+    low masks ``lo`` with ``2|lo & low| - |lo| > t``.  It is built by doubling:
+    the level sets of that difference over the first b bits, shifted by 2^b,
+    give those with bit b set.
+    """
+    levels = {0: 1}
+    for b in range(width):
+        step, shift = (1 if low >> b & 1 else -1), 1 << b
+        grown: dict[int, int] = {}
+        for diff, bits in levels.items():
+            grown[diff] = grown.get(diff, 0) | bits
+            grown[diff + step] = grown.get(diff + step, 0) | bits << shift
+        levels = grown
+    above, acc = [], 0
+    for t in range(width, -width - 2, -1):
+        above.append(acc)
+        acc |= levels.get(t, 0)
+    above.reverse()
+    return above
 
 
 def _heaviest_mask(groups: Sequence[tuple[int, Fraction]], d: int) -> tuple[int, Fraction]:
@@ -100,17 +146,54 @@ def _heaviest_mask(groups: Sequence[tuple[int, Fraction]], d: int) -> tuple[int,
     ``groups`` holds ``(mask, weight)`` pairs.  Masks are scanned in
     increasing order, which is lexicographic order on coordinates, so ties
     go to the lexicographically smallest proposal.
+
+    The scan is word-parallel.  Write a mask as ``(h << L) | lo`` with
+    ``L = min(d, 12)``; a position g approves it iff
+    ``2|m & g| - |m| > 0``, and that difference splits into a part of ``lo``
+    and a part of ``h``.  So for each chunk ``h`` a position's approval set
+    over all 2^L low masks is one lookup in its :func:`_approval_table`.
+    Weights are scaled to integers over their common denominator and added
+    into bit-sliced counters, one 2^L-bit plane per bit of the total; the
+    chunk's maximum is read from the top plane down, keeping the masks that
+    have each plane's bit when any do.  A later chunk wins only when it is
+    strictly heavier.
     """
-    best_mask, best_weight = None, _ZERO
-    for mask in range(1, 1 << d):
-        size = mask.bit_count()
-        w = _ZERO
-        for gmask, gw in groups:
-            if size < 2 * (gmask & mask).bit_count():
-                w += gw
-        if w > best_weight or best_mask is None:
-            best_mask, best_weight = mask, w
-    return best_mask, best_weight
+    merged: dict[int, Fraction] = {}
+    for gmask, gw in groups:
+        merged[gmask] = merged.get(gmask, _ZERO) + gw
+    scale, scaled = _over_common_denominator(merged.values())
+    width = min(d, _CHUNK_BITS)
+    tables: dict[int, list[int]] = {}
+    scan = []  # (approval table, high bits, set bits of the scaled weight)
+    for gmask, iw in zip(merged, scaled):
+        low = gmask & ((1 << width) - 1)
+        if low not in tables:
+            tables[low] = _approval_table(low, width)
+        scan.append((tables[low], gmask >> width, [j for j in range(iw.bit_length()) if iw >> j & 1]))
+    n_planes = sum(scaled).bit_length()
+    everything = (1 << (1 << width)) - 1
+    best_mask, best_value = None, 0
+    for h in range(1 << (d - width)):
+        size = h.bit_count()
+        planes = [0] * n_planes
+        for above, high, weight_bits in scan:
+            t = size - 2 * (h & high).bit_count()
+            if t > width:
+                continue
+            approving = above[max(t, -width - 1) + width + 1]
+            for j in weight_bits:
+                carry, k = approving, j
+                while carry:
+                    planes[k], carry = planes[k] ^ carry, planes[k] & carry
+                    k += 1
+        alive, value = everything if h else everything ^ 1, 0
+        for k in range(n_planes - 1, -1, -1):
+            top = alive & planes[k]
+            if top:
+                alive, value = top, value | 1 << k
+        if best_mask is None or value > best_value:
+            best_mask, best_value = h << width | ((alive & -alive).bit_length() - 1), value
+    return best_mask, Fraction(best_value, scale)
 
 
 def solve_hyp_bruteforce(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
@@ -232,19 +315,21 @@ def _subsets_by_weight_desc(weights: Sequence[Fraction]) -> Iterator[tuple[Fract
 
     Subsets are keyed by their sorted tuple of removed indices; children
     remove one further index beyond the last removed one, so each subset is
-    generated exactly once.
+    generated exactly once.  The heap holds the weights as integers over
+    their common denominator.
     """
     m = len(weights)
-    total = sum(weights, _ZERO)
-    heap: list[tuple[Fraction, tuple[int, ...]]] = [(-total, ())]
+    scale, scaled = _over_common_denominator(weights)
+    heap: list[tuple[int, tuple[int, ...]]] = [(-sum(scaled), ())]
     while heap:
         negw, removed = heapq.heappop(heap)
-        kept = tuple(i for i in range(m) if i not in removed)
+        gone = set(removed)
+        kept = tuple(i for i in range(m) if i not in gone)
         if kept:
-            yield -negw, kept
+            yield Fraction(-negw, scale), kept
         start = removed[-1] + 1 if removed else 0
         for j in range(start, m):
-            heapq.heappush(heap, (negw + weights[j], removed + (j,)))
+            heapq.heappush(heap, (negw + scaled[j], removed + (j,)))
 
 
 def _heaviest_feasible(

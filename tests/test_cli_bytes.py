@@ -10,6 +10,7 @@ command line writes.
 import contextlib
 import hashlib
 import io
+import json
 
 from delib.cli import main
 
@@ -60,7 +61,29 @@ EXPECTED_HYP_GRID = {
     "grid_nonneg-12.json": "694fd1719fb7dcd918dbc1589a7eaedc18af7612a76f0d044d4687973aadd1fa",
     "grid_nonneg-12-converge.csv": "371e9155dbfcf172d03f52ed84803f8d2d73a87760b965045f1d0c9a66fa374f",
     "grid_nonneg-12-solve.json": "e7829b8ee9dc8af1947dc3cfb4967480272c5d7b9b905d8051672af3ae7beee1",
+    "hyp-8x20.json": "0585baa2eac643d8ff61f49e6104481c2d25d95e9304b2ea65df863189ffcd8b",
+    "hyp-8x20-auto.json": "a8388a283a85782ecd28d56f89732fcd11e8112229f7ad33abc9395f46b5b7c8",
+    "hyp-6x16.json": "195a9cb054c90810b1e96205285d96514a5a4b45d13a6d7cf4bdf69f61970af8",
+    "hyp-6x16-random.csv": "87e8e18a4cd87b78e55b1bb869af45f38a9bfd1cf4f2aee0864907f3e374f332",
+    "hyp-6x16-random.txt": "53bd5d5106b7e5c620972f6904b795fd0bf17ac6cf827de29db65d4e981cc7c9",
+    "hyp-weighted-14.json": "56756e28cda91b1b9656d353b852cd1cf6b3fe92351dbf0077c3aca0e958f304",
+    "hyp-weighted-14-brute.json": "1a71683111946063de1d7fafaef64305513081110f8ec67afd78f3318e2f6f24",
 }
+
+# A weighted hypercube past the mask scan's 12-bit chunk (d = 14): ten
+# agents on six positions, with weights over the denominators 2, 3 and 7.
+WEIGHTED_HYP_14 = [
+    ("10001110001001", "1/2"),
+    ("10001110001001", "2/3"),
+    ("00000010101001", "5/7"),
+    ("01101000000000", "3/2"),
+    ("01101000000000", "1/3"),
+    ("00000001100000", "4/7"),
+    ("11100000000010", "5/3"),
+    ("00000011110000", "3/7"),
+    ("00000011110000", "1/7"),
+    ("10001110001001", "1/7"),
+]
 
 
 def build_corpus(tmp) -> dict[str, bytes]:
@@ -149,6 +172,19 @@ def build_hyp_grid_corpus(tmp) -> dict[str, bytes]:
         run("generate", "--family", "random", "--kind", kind, "--n", 12, "--seed", 3, "--out", inst)
         run("simulate", "--space", inst, "--scheduler", "grid-converge", "--trace", tmp / f"{kind}-12-converge.csv")
         run("solve", "--space", inst, "--json", tmp / f"{kind}-12-solve.json")
+    # Past the 12-bit chunk: an auto (brute force) solve at d = 20, random
+    # dynamics at d = 16 and a weighted brute-force solve at d = 14.
+    wide = tmp / "hyp-8x20.json"
+    run("generate", "--family", "random", "--kind", "hypercube", "--n", 8, "--d", 20, "--seed", 3, "--out", wide)
+    run("solve", "--space", wide, "--json", tmp / "hyp-8x20-auto.json")
+    dyn = tmp / "hyp-6x16.json"
+    run("generate", "--family", "random", "--kind", "hypercube", "--n", 6, "--d", 16, "--seed", 3, "--out", dyn)
+    run("simulate", "--space", dyn, "--scheduler", "random", "--seed", 1, "--trace", tmp / "hyp-6x16-random.csv",
+        stdout_name="hyp-6x16-random.txt")
+    weighted = tmp / "hyp-weighted-14.json"
+    agents = [{"coords": [int(c) for c in bits], "weight": w} for bits, w in WEIGHTED_HYP_14]
+    weighted.write_text(json.dumps({"agents": agents, "d": 14, "kind": "hypercube", "version": 1}))
+    run("solve", "--space", weighted, "--method", "brute", "--json", tmp / "hyp-weighted-14-brute.json")
     for name in EXPECTED_HYP_GRID:
         if name not in outputs:
             outputs[name] = (tmp / name).read_bytes()

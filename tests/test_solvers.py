@@ -5,6 +5,7 @@ sharing code with the package's mask-based scan; the planar Euclidean
 oracle is the angular sweep, not an LP.
 """
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -153,6 +154,58 @@ class TestHypBruteforce:
         assert report.best_score == score(space, report.best_proposal)
         test = approval_test(space, report.best_proposal)
         assert all(test(space.agents[i]) for i in report.supporters)
+
+
+_ZERO = Fraction(0)
+
+
+def reference_heaviest_mask(groups, d):
+    """The scalar mask loop that ``solvers._heaviest_mask`` replaced, kept
+    verbatim as the reference for the word-parallel scan."""
+    best_mask, best_weight = None, _ZERO
+    for mask in range(1, 1 << d):
+        size = mask.bit_count()
+        w = _ZERO
+        for gmask, gw in groups:
+            if size < 2 * (gmask & mask).bit_count():
+                w += gw
+        if w > best_weight or best_mask is None:
+            best_mask, best_weight = mask, w
+    return best_mask, best_weight
+
+
+class TestMaskScan:
+    """``_heaviest_mask`` against the scalar loop, on both sides of its
+    12-bit chunk."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 16), st.data())
+    def test_matches_scalar_loop(self, d, data):
+        pool = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=4))
+        weights = st.builds(Fraction, st.integers(1, 50), st.integers(1, 12))
+        groups = data.draw(st.lists(st.tuples(st.sampled_from(pool), weights), min_size=1, max_size=10))
+        assert solvers._heaviest_mask(groups, d) == reference_heaviest_mask(groups, d)
+
+    @pytest.mark.parametrize("d", [17, 18])
+    def test_unit_weights_past_the_chunk(self, d):
+        rng = random.Random(d)
+        groups = [(rng.getrandbits(d), Fraction(1)) for _ in range(8)]
+        assert solvers._heaviest_mask(groups, d) == reference_heaviest_mask(groups, d)
+
+    def test_wide_weights(self):
+        rng = random.Random(13)
+        groups = [(rng.getrandbits(13), Fraction(rng.getrandbits(64) + 1, rng.getrandbits(64) + 1)) for _ in range(8)]
+        groups += groups[:2]
+        assert solvers._heaviest_mask(groups, 13) == reference_heaviest_mask(groups, 13)
+
+    def test_chunks_replace_only_when_heavier(self):
+        # A position approves only its own singleton, which here lies in the
+        # last chunk; with a second position at mask 1 the two tie, and the
+        # first chunk keeps its mask.
+        top, one = (1 << 13, Fraction(1)), (1, Fraction(1))
+        assert solvers._heaviest_mask([], 14) == (1, 0)
+        assert solvers._heaviest_mask([top], 14) == (1 << 13, 1)
+        assert solvers._heaviest_mask([top, one], 14) == (1, 1)
 
 
 def type_ilp_parts(space):
@@ -315,6 +368,40 @@ def unpruned_strict_support(positions, weights, stop_below=None):
         if x is not None:
             return (kept, weight, x), work
     return None, work
+
+
+def reference_subsets_by_weight_desc(weights):
+    """The Fraction-keyed subset heap that ``solvers._subsets_by_weight_desc``
+    replaced, kept verbatim as its reference."""
+    m = len(weights)
+    total = sum(weights, _ZERO)
+    heap: list[tuple[Fraction, tuple[int, ...]]] = [(-total, ())]
+    while heap:
+        negw, removed = heapq.heappop(heap)
+        kept = tuple(i for i in range(m) if i not in removed)
+        if kept:
+            yield -negw, kept
+        start = removed[-1] + 1 if removed else 0
+        for j in range(start, m):
+            heapq.heappush(heap, (negw + weights[j], removed + (j,)))
+
+
+class TestSubsetHeap:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.builds(Fraction, st.integers(1, 50), st.integers(1, 12)), min_size=1, max_size=9))
+    def test_matches_fraction_heap(self, weights):
+        assert list(solvers._subsets_by_weight_desc(weights)) == list(reference_subsets_by_weight_desc(weights))
+
+    def test_unsatisfiable_reduction_order(self):
+        # All eight sign patterns on three variables: 17 distinct positions
+        # over three weights, so the order rests on the tie-breaks.
+        clauses = [[a, b, c] for a in (1, -1) for b in (2, -2) for c in (3, -3)]
+        weights = [w for _, w in distinct_positions(reduce_3sat_to_euc(3, clauses).space)]
+        assert len(weights) == 17
+        count = 20_000
+        assert list(itertools.islice(solvers._subsets_by_weight_desc(weights), count)) == list(
+            itertools.islice(reference_subsets_by_weight_desc(weights), count)
+        )
 
 
 def unpruned_cells(positions):
