@@ -68,6 +68,18 @@ EXPECTED_HYP_GRID = {
     "hyp-6x16-random.txt": "53bd5d5106b7e5c620972f6904b795fd0bf17ac6cf827de29db65d4e981cc7c9",
     "hyp-weighted-14.json": "56756e28cda91b1b9656d353b852cd1cf6b3fe92351dbf0077c3aca0e958f304",
     "hyp-weighted-14-brute.json": "1a71683111946063de1d7fafaef64305513081110f8ec67afd78f3318e2f6f24",
+    "is-2k3.json": "d64805ee8f265fa9a63a99132f31c27d97e7cb69f3d813b45710e48bb4a9f6bf",
+    "is-2k3-verify.txt": "5c5a7c91c3b0b319aadf16f34c420b232f12aee206639b09a67d46714cc17f3f",
+    "is-c6.json": "81c42ba728631a659e4df0f9391fc1f2396e8d6cddcd1f2177c7cd523cb83911",
+    "is-c6-verify.txt": "9e77328d5e5b18f274b813c36155e1db780defe690ac9452ae5b5355edf5a9d1",
+}
+
+# Six-vertex graphs whose kappa = 3 reductions lie past the 12-bit chunk
+# (d = 17): two disjoint triangles have independence number 2, so no
+# proposal is unanimous; the 6-cycle has 3, so one is.
+IS_GRAPHS = {
+    "is-2k3": "p 6 6\n1 2\n2 3\n1 3\n4 5\n5 6\n4 6\n",
+    "is-c6": "p 6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n",
 }
 
 # A weighted hypercube past the mask scan's 12-bit chunk (d = 14): ten
@@ -185,6 +197,11 @@ def build_hyp_grid_corpus(tmp) -> dict[str, bytes]:
     agents = [{"coords": [int(c) for c in bits], "weight": w} for bits, w in WEIGHTED_HYP_14]
     weighted.write_text(json.dumps({"agents": agents, "d": 14, "kind": "hypercube", "version": 1}))
     run("solve", "--space", weighted, "--method", "brute", "--json", tmp / "hyp-weighted-14-brute.json")
+    for name, text in IS_GRAPHS.items():
+        graph = tmp / f"{name}.txt"
+        graph.write_text(text)
+        run("reduce", "--from", "indep-set", "--in", graph, "--kappa", 3, "--out", tmp / f"{name}.json")
+        run("verify", "--what", "reduction", "--in", f"{tmp / name}.json.cert.json", stdout_name=f"{name}-verify.txt")
     for name in EXPECTED_HYP_GRID:
         if name not in outputs:
             outputs[name] = (tmp / name).read_bytes()

@@ -278,6 +278,24 @@ class TestCli:
             "over the reduction guard (1000000)\n"
         )
 
+    def test_unanimity_scan_at_the_guard_edge(self, tmp_path, capsys):
+        # Three disjoint triangles have no independent set of four vertices,
+        # so their kappa 4 reduction in {0,1}^25 has no unanimous proposal
+        # and the scan runs to the end.  An edgeless 13-vertex graph at
+        # kappa 1 gives d = 27, one past the guard.
+        graph, out = tmp_path / "g.txt", tmp_path / "o.json"
+        for text, kappa, code in (
+            ("p 9 9\n1 2\n2 3\n1 3\n4 5\n5 6\n4 6\n7 8\n8 9\n7 9\n", "4", 0),
+            ("p 13 0\n", "1", 3),
+        ):
+            graph.write_text(text)
+            assert run_cli("reduce", "--from", "indep-set", "--in", str(graph), "--kappa", kappa, "--out", str(out)) == 0
+            capsys.readouterr()
+            assert run_cli("verify", "--what", "reduction", "--in", f"{out}.cert.json") == code
+            if code == 0:
+                assert "unanimous: no\n" in capsys.readouterr().out
+        assert capsys.readouterr() == ("", "error: brute force over 2^27 proposals exceeds the guard (d <= 26)\n")
+
     def test_malformed_instance_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         good = instancefile.to_document(Instance(gen_random("grid", 3, 2, seed=4)))

@@ -17,6 +17,7 @@ from delib import solvers
 from delib.generators import gen_euc_slow, gen_hyp_slow, gen_random, reduce_3sat_to_euc, reduce_is_to_hyp
 from delib.linprog import solve_strict_rows
 from delib.solvers import (
+    DEFAULT_LIMITS,
     GuardExceeded,
     Method,
     SolverLimits,
@@ -35,6 +36,7 @@ from delib.space import (
     Agent,
     DeliberationSpace,
     Kind,
+    Point,
     approval_test,
     approver_indices,
     distinct_positions,
@@ -206,6 +208,76 @@ class TestMaskScan:
         assert solvers._heaviest_mask([], 14) == (1, 0)
         assert solvers._heaviest_mask([top], 14) == (1 << 13, 1)
         assert solvers._heaviest_mask([top, one], 14) == (1, 1)
+
+
+def reference_unanimous_proposal(
+    space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS
+) -> Point | None:
+    """The scalar loop that ``solvers.hyp_unanimous_proposal`` replaced, kept
+    verbatim as the reference for the chunked scan."""
+    if space.kind is not Kind.HYPERCUBE:
+        raise ValueError("hypercube solver called on a non-hypercube space")
+    limits.check("hyp_brute_max_dim", space.dim)
+    masks = [pos.data for pos, _ in distinct_positions(space)]
+    for mask in range(1, 1 << space.dim):
+        size = mask.bit_count()
+        if all(size < 2 * (g & mask).bit_count() for g in masks):
+            return hypercube_point(mask, space.dim)
+    return None
+
+
+def mask_space(d, masks):
+    return DeliberationSpace(Kind.HYPERCUBE, d, tuple(Agent(hypercube_point(m, d)) for m in masks))
+
+
+@st.composite
+def unanimity_spaces(draw):
+    """Hypercube spaces on both sides of the 12-bit chunk whose positions
+    are supersets of a shared base, the full mask, or complements of one
+    another, so that both answers occur often."""
+    d = draw(st.integers(1, 16))
+    full = (1 << d) - 1
+    base = draw(st.integers(0, full))
+    superset = st.integers(1, full).map(lambda extra: base | extra)
+    masks = draw(st.lists(st.one_of(superset, st.just(full), st.integers(1, full)), min_size=1, max_size=6))
+    complements = draw(st.lists(st.sampled_from(masks), max_size=2))
+    masks += [full ^ m for m in complements]
+    return mask_space(d, [m for m in masks if m])
+
+
+class TestUnanimityScan:
+    """``hyp_unanimous_proposal`` against the scalar loop: the same Point,
+    or None, on both sides of the 12-bit chunk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(unanimity_spaces())
+    def test_matches_scalar_loop(self, space):
+        assert hyp_unanimous_proposal(space) == reference_unanimous_proposal(space)
+
+    @pytest.mark.parametrize("edges, found", [
+        ([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)], False),
+        ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)], True),
+    ])
+    def test_reductions_past_the_chunk(self, edges, found):
+        # m = 6 vertices at kappa = 3 give d = 17; two disjoint triangles
+        # have no independent set of size 3, the 6-cycle has one.
+        space = reduce_is_to_hyp(6, edges, 3).space
+        assert space.dim == 17
+        got = hyp_unanimous_proposal(space)
+        assert (got is not None) == found
+        assert got == reference_unanimous_proposal(space)
+
+    def test_antipodal_pair_at_the_guard_edge(self):
+        x = 0b10110011100011110000101101
+        assert hyp_unanimous_proposal(mask_space(26, [x, x ^ ((1 << 26) - 1)])) is None
+
+    def test_position_that_rejects_a_whole_chunk(self):
+        # Only past d = 24 can a chunk's high part alone put a position out
+        # of reach of every low mask.  Position 1 approves mask 1 alone, which
+        # the position on the 13 high bits does not approve, so no proposal
+        # is unanimous.  In the chunk of all 13 high bits, the high position
+        # approves every low mask and position 1 none.
+        assert hyp_unanimous_proposal(mask_space(25, [((1 << 13) - 1) << 12, 1])) is None
 
 
 def type_ilp_parts(space):
