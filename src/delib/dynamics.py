@@ -165,20 +165,25 @@ def validate_transition(
     return True, None
 
 
+def _apply_in_place(coalitions: list[Coalition], t: Transition):
+    """Apply ``t`` to a list of coalitions: survivors keep their order, then
+    the new coalition, then non-empty leftovers in participant order."""
+    kept = [Coalition(rest, coalitions[j].proposal) for j, rest in t.leftovers if rest]
+    for j in sorted(set(t.participants), reverse=True):
+        del coalitions[j]
+    coalitions.append(Coalition(t.new_members, t.new_proposal))
+    coalitions.extend(kept)
+
+
 def apply_transition(
     space: DeliberationSpace,
     structure: CoalitionStructure,
     t: Transition,
 ) -> CoalitionStructure:
-    """New structure: survivors keep their order, then the new coalition, then
-    non-empty leftovers in participant order."""
-    part = set(t.participants)
-    out = [c for j, c in enumerate(structure.coalitions) if j not in part]
-    out.append(Coalition(t.new_members, t.new_proposal))
-    for j, rest in t.leftovers:
-        if rest:
-            out.append(Coalition(rest, structure.coalitions[j].proposal))
-    return CoalitionStructure(tuple(out))
+    """The structure after ``t``, as :func:`run_deliberation` leaves it."""
+    coalitions = list(structure.coalitions)
+    _apply_in_place(coalitions, t)
+    return CoalitionStructure(tuple(coalitions))
 
 
 def _potential_term(space: DeliberationSpace, members) -> int:
@@ -444,6 +449,18 @@ class GreedyFastScheduler(Scheduler):
 # Runs and traces.
 
 
+class _LiveStructure:
+    """The coalition list a run updates in place, read like a structure."""
+
+    __slots__ = ("coalitions",)
+
+    def __init__(self, coalitions):
+        self.coalitions = list(coalitions)
+
+    def __len__(self) -> int:
+        return len(self.coalitions)
+
+
 @dataclass(frozen=True)
 class TraceStep:
     transition: Transition
@@ -493,12 +510,17 @@ def run_deliberation(
     step's :func:`potential_change`; for k = 2 each step must raise it by at
     least 1, which also enforces the 2^n step bound.  Very long runs can
     skip step recording; the trace then reports the count only.
+
+    The run applies each transition in place to one live list of coalitions,
+    as :func:`apply_transition` orders them, instead of copying the
+    structure.  Schedulers read it (``.coalitions[j]``, ``len``) and must
+    not keep it; ``final`` is a snapshot taken at the end.
     """
     validate_structure(space, initial)
     rng = random.Random(seed)
     integer_weights = all(a.weight.denominator == 1 for a in space.agents)
     cap = k ** space.n + 1 if integer_weights else None
-    structure = initial
+    structure = _LiveStructure(initial.coalitions)
     steps: list[TraceStep] = []
     count = 0
     phi_current = potential(structure, space) if integer_weights else None
@@ -515,7 +537,7 @@ def run_deliberation(
             phi_current = phi_before + potential_change(space, structure, t)
             if k == 2 and phi_current - phi_before < 1:
                 raise DynamicsError("a 2-compromise must raise the potential; this is a bug")
-        structure = apply_transition(space, structure, t)
+        _apply_in_place(structure.coalitions, t)
         count += 1
         if record_steps:
             steps.append(TraceStep(t, sizes, phi_before, phi_current))
@@ -524,7 +546,8 @@ def run_deliberation(
     if k == 2 and integer_weights and count > 2 ** space.n:
         raise DynamicsError("2-deliberations halt within 2^n transitions; this is a bug")
     terminal = scheduler.complete or len(structure) == 1
-    return Trace(tuple(steps), terminal, scheduler.name, seed, structure, count)
+    final = CoalitionStructure(tuple(structure.coalitions))
+    return Trace(tuple(steps), terminal, scheduler.name, seed, final, count)
 
 
 def is_successful(

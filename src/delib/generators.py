@@ -94,7 +94,7 @@ def gen_euc_slow(n: int) -> SlowFamilyInstance:
     def oracle(members: frozenset[int]) -> Point | None:
         if not members:
             return None
-        return Point(Kind.EUCLIDEAN, n, (len(members), tuple(units[i] for i in sorted(members))))
+        return Point.trusted(Kind.EUCLIDEAN, n, (len(members), tuple(units[i] for i in sorted(members))))
 
     return SlowFamilyInstance(space, oracle, "euc-slow", n)
 

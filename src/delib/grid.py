@@ -1,11 +1,15 @@
 """Two-dimensional grid deliberation and its constructive convergence.
 
 On the grid every supportable proposal can be pulled one step toward the
-origin without losing a single supporter, so support concentrates on the
-axis unit proposals; convergence then amounts to relabelling each
-coalition's proposal to a unit target, merging same-target coalitions, and
-one final compromise onto the best target.  The non-negative quadrant needs
-2-way compromises only, the full grid at most 3-way.
+origin without losing a single supporter (:func:`pull_toward_origin`), so
+support concentrates on the axis unit proposals; convergence then amounts to
+relabelling each coalition's proposal to a unit target, merging same-target
+coalitions, and one final compromise onto the best target.  The non-negative
+quadrant needs 2-way compromises only, the full grid at most 3-way.
+
+Relabelling uses the pulls' closed form: from (x, y) they reach the 3x3 core
+after t = max(|x|, |y|) - 1 steps, at (sign x * max(|x| - t, 0), sign y *
+max(|y| - t, 0)), which by the lemma keeps every supporter of (x, y).
 
 Relabelling a coalition's proposal in place is not itself a transition; it
 is recorded in the trace notes and excluded from the transition count.
@@ -51,12 +55,20 @@ def pull_toward_origin(p: Point) -> Point:
     return grid_point(x - _sign(x), y - _sign(y))
 
 
-def _canonical_target(space: DeliberationSpace, coalition: Coalition) -> Point:
-    """A unit target every member approves, found by pulling the proposal."""
-    p = coalition.proposal
-    while abs(p.data[0]) > 1 or abs(p.data[1]) > 1:
-        p = pull_toward_origin(p)
-    targets = grid_targets(space.grid_nonneg)
+def _pull_to_core(p: Point) -> Point:
+    """Where repeated :func:`pull_toward_origin` takes ``p``: the first point
+    in the 3x3 core, in closed form."""
+    x, y = p.data
+    t = max(abs(x), abs(y)) - 1
+    if t <= 0:
+        return p
+    return grid_point(_sign(x) * max(abs(x) - t, 0), _sign(y) * max(abs(y) - t, 0))
+
+
+def _canonical_target(space: DeliberationSpace, coalition: Coalition, targets: tuple[Point, ...]) -> Point:
+    """A unit target every member approves: the proposal pulled into the core
+    in closed form (every member still approves it, by the pull lemma)."""
+    p = _pull_to_core(coalition.proposal)
     if p in targets:
         return p
     # Diagonal core proposal: its supporters approve both adjacent targets.
@@ -156,8 +168,9 @@ def grid_converge(
     validate_structure(space, structure)
     notes: list[str] = []
     relabeled = []
+    targets = grid_targets(space.grid_nonneg)
     for i, c in enumerate(structure.coalitions):
-        target = _canonical_target(space, c)
+        target = _canonical_target(space, c, targets)
         if target != c.proposal:
             notes.append(f"relabel coalition {i}: {c.proposal} -> {target}")
         relabeled.append(Coalition(c.members, target))

@@ -9,6 +9,7 @@ data such as the generating family and its parameters.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,12 +78,27 @@ def _exact(values, convert=int) -> list:
     return [convert(v) for v in values]
 
 
-def _point_in(kind: Kind, coords, dim: int) -> Point:
+def _fraction_memo():
+    """``Fraction``, parsing each distinct string once: dense Euclidean
+    files repeat a few coordinate strings, "0" most of all."""
+    parsed: dict[str, Fraction] = {}
+
+    def fraction(value) -> Fraction:
+        if type(value) is not str:
+            return Fraction(value)
+        if value not in parsed:
+            parsed[value] = Fraction(value)
+        return parsed[value]
+
+    return fraction
+
+
+def _point_in(kind: Kind, coords, dim: int, fraction) -> Point:
     try:
         if kind is Kind.HYPERCUBE:
             return hypercube_point(_exact(coords))
         if kind is Kind.EUCLIDEAN:
-            return euclidean_point(_exact(coords, Fraction))
+            return euclidean_point(_exact(coords, fraction))
         return grid_point(*_exact(coords))
     except (ValueError, TypeError, KeyError, IndexError, OverflowError, ZeroDivisionError) as exc:
         raise InstanceFormatError(f"bad coordinates {coords!r}: {exc}") from exc
@@ -132,13 +148,14 @@ def from_document(doc: dict) -> Instance:
     if not isinstance(doc.get("meta", {}), (dict, type(None))):
         raise InstanceFormatError("'meta' must be an object")
     kind, nonneg = _KIND_TAGS[kind_tag]
+    fraction = _fraction_memo()
     agents = []
     for a in _entries(agents_doc, "agents", {"coords"}):
         try:
-            weight = _exact([a.get("weight", "1")], Fraction)[0]
+            weight = _exact([a.get("weight", "1")], fraction)[0]
         except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
             raise InstanceFormatError(f"bad weight {a.get('weight')!r}") from exc
-        pos = _point_in(kind, a["coords"], dim)
+        pos = _point_in(kind, a["coords"], dim, fraction)
         if pos.dim != dim:
             raise InstanceFormatError("agent dimension disagrees with the header")
         try:
@@ -153,7 +170,7 @@ def from_document(doc: dict) -> Instance:
     if "structure" in doc:
         coalitions = []
         for c in _entries(doc["structure"], "structure", {"proposal", "members"}):
-            proposal = _point_in(kind, c["proposal"], dim)
+            proposal = _point_in(kind, c["proposal"], dim, fraction)
             try:
                 coalitions.append(Coalition(frozenset(_exact(c["members"])), proposal))
             except (ValueError, TypeError, OverflowError) as exc:
@@ -166,8 +183,16 @@ def from_document(doc: dict) -> Instance:
     return Instance(space, structure, doc.get("meta"))
 
 
+def _write(inst: Instance, fh):
+    """The file format: sorted keys, two-space indent, a final newline."""
+    json.dump(to_document(inst), fh, sort_keys=True, indent=2)
+    fh.write("\n")
+
+
 def dumps(inst: Instance) -> str:
-    return json.dumps(to_document(inst), sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    _write(inst, buf)
+    return buf.getvalue()
 
 
 def loads(text: str) -> Instance:
@@ -181,8 +206,9 @@ def loads(text: str) -> Instance:
 
 
 def save(inst: Instance, path: str):
+    """Write the bytes :func:`dumps` returns, streamed to the file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(inst))
+        _write(inst, fh)
 
 
 def load(path: str) -> Instance:

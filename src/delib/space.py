@@ -117,6 +117,16 @@ class Point:
             if not all(isinstance(c, int) for c in self.data):
                 raise SpaceError("grid coordinates must be integers")
 
+    @classmethod
+    def trusted(cls, kind: Kind, dim: int, data) -> Point:
+        """A point from ``data`` already in canonical form, left unchecked:
+        for generators whose points are canonical by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "kind", kind)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "data", data)
+        return p
+
     def coords(self) -> tuple:
         """Coordinates as a dense tuple (Fractions for Euclidean points)."""
         if self.kind is Kind.HYPERCUBE:
@@ -301,6 +311,8 @@ class _ApprovalTest:
             self._sqnorm = sum(c * c for _, c in pairs)
         elif space.kind is Kind.HYPERCUBE:
             self._size = proposal.data.bit_count()
+        else:
+            self._pair = proposal.data
 
     def __call__(self, agent: Agent) -> bool:
         if self._kind is Kind.EUCLIDEAN:
@@ -315,7 +327,9 @@ class _ApprovalTest:
         if self._kind is Kind.HYPERCUBE:
             # |X| < 2 |V cap X| in set notation.
             return self._size < 2 * (agent.position.data & self.proposal.data).bit_count()
-        return distance(agent.position, self.proposal) < agent.origin_distance
+        # |V - P|_1 < |V|_1 on the grid.
+        (x, y), (px, py) = agent.position.data, self._pair
+        return abs(x - px) + abs(y - py) < agent.origin_distance
 
 
 def approves(agent: Agent, proposal: Point, space: DeliberationSpace) -> bool:

@@ -248,6 +248,35 @@ def build_simulate_corpus(tmp) -> dict[str, bytes]:
     return outputs
 
 
+# n = 400 grids with coordinates in -30..30, where relabelling pulls most
+# proposals a long way into the core; the n = 12 grids above barely pull.
+EXPECTED_GRID_400 = {
+    "grid-400.json": "17973212a967051b2421c38466f98b3511a0ccb96b0bad6bb0ad6576111d476b",
+    "grid-400-converge.csv": "f3859355cd5049e8d61a3c7ab1a34316f2b6137215d37bc5a02ad9f1da5b2d4c",
+    "grid-400-converge.txt": "cf3e6d257a91c7633760566e366a7611bd515a45affb9d914516e8e1ce8e07ea",
+    "grid_nonneg-400.json": "f6e98be5a64d939f29b9d9af0e1abaee9935859138322af9a0a4f1d2a39599fb",
+    "grid_nonneg-400-converge.csv": "4495e832c410bdc1196b7a7e3b2c670baa9db3f1db6404894d1f8752302ed451",
+    "grid_nonneg-400-converge.txt": "a3345b797383827fcc7f9642101bceec03e24e4676bf8369d45728ed23113c4b",
+}
+
+
+def build_grid_400_corpus(tmp) -> dict[str, bytes]:
+    """Generated n = 400 grids, their convergence traces and summaries."""
+    outputs = {}
+    for kind in ("grid", "grid_nonneg"):
+        inst, csv = tmp / f"{kind}-400.json", tmp / f"{kind}-400-converge.csv"
+        assert main(["generate", "--family", "random", "--kind", kind, "--n", "400", "--d", "2", "--seed", "1",
+                     "--range", "-30", "30", "--out", str(inst)]) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["simulate", "--space", str(inst), "--scheduler", "grid-converge", "--trace", str(csv)])
+        assert code == 0, kind
+        outputs[inst.name] = inst.read_bytes()
+        outputs[csv.name] = csv.read_bytes()
+        outputs[f"{kind}-400-converge.txt"] = out.getvalue().encode()
+    return outputs
+
+
 def _digests(outputs):
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
@@ -266,3 +295,7 @@ def test_hypercube_and_grid_outputs_are_byte_identical(tmp_path):
 
 def test_simulate_outputs_are_byte_identical(tmp_path):
     assert _digests(build_simulate_corpus(tmp_path)) == EXPECTED_SIMULATE
+
+
+def test_grid_400_outputs_are_byte_identical(tmp_path):
+    assert _digests(build_grid_400_corpus(tmp_path)) == EXPECTED_GRID_400

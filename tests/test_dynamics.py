@@ -101,7 +101,7 @@ def assert_potentials_from_scratch(space, initial, trace):
         assert step.phi_before == potential(structure, space)
         structure = apply_transition(space, structure, step.transition)
         assert step.phi_after == potential(structure, space)
-    assert [c.members for c in structure.coalitions] == [c.members for c in trace.final.coalitions]
+    assert structure == trace.final
 
 
 class TestIncrementalPotential:
@@ -122,6 +122,25 @@ class TestIncrementalPotential:
         trace = run_deliberation(fam.space, initial, AdversarialScheduler(fam.support_oracle), 2)
         assert len(trace.steps) > 20
         assert_potentials_from_scratch(fam.space, initial, trace)
+
+    def test_adversarial_n40_matches_replay(self):
+        # 3,012 steps on the run's live coalition list, against a fresh
+        # structure per step from apply_transition, and apply_transition
+        # against the order the transition clause defines.
+        fam = gen_euc_slow(40)
+        initial = singleton_structure(fam.space)
+        trace = run_deliberation(fam.space, initial, AdversarialScheduler(fam.support_oracle), 2)
+        assert len(trace.steps) == trace.total_steps == 3012
+        assert_potentials_from_scratch(fam.space, initial, trace)
+        structure = initial
+        for step in trace.steps:
+            t = step.transition
+            part = set(t.participants)
+            expected = [c for j, c in enumerate(structure.coalitions) if j not in part]
+            expected.append(Coalition(t.new_members, t.new_proposal))
+            expected += [Coalition(rest, structure.coalitions[j].proposal) for j, rest in t.leftovers if rest]
+            structure = apply_transition(fam.space, structure, t)
+            assert structure.coalitions == tuple(expected)
 
     @pytest.mark.parametrize("kind", ["grid", "grid_nonneg"])
     def test_grid_convergence(self, kind):

@@ -6,6 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delib.generators import (
     GeneratorError,
@@ -21,7 +22,7 @@ from delib.generators import (
 )
 from delib.dynamics import build_transition, coalition_weight, validate_transition
 from delib.solvers import hyp_unanimous_proposal, solve_euc_subsets
-from delib.space import Agent, approver_indices, distance, distinct_positions
+from delib.space import Agent, Point, approver_indices, distance, distinct_positions
 
 
 class TestSlowFamilies:
@@ -45,6 +46,17 @@ class TestSlowFamilies:
                     continue
                 p = fam.support_oracle(subset)
                 assert set(approver_indices(fam.space, p)) == set(subset)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_oracle_points_equal_checked_points(self, n, data):
+        # The euc-slow oracle builds its points unchecked; the checked
+        # constructor gives the same canonical data, equality and hash.
+        fam = gen_euc_slow(n)
+        members = frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        p = fam.support_oracle(members)
+        checked = Point(p.kind, p.dim, p.data)
+        assert (p.data, p, hash(p)) == (checked.data, checked, hash(checked))
 
     def test_hyp_layout_matches_construction(self):
         fam = gen_hyp_slow(2)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delib.dynamics import (
     Coalition,
@@ -12,7 +13,7 @@ from delib.dynamics import (
     is_successful,
 )
 from delib.generators import gen_random
-from delib.grid import grid_converge, grid_popular_bruteforce, pull_toward_origin
+from delib.grid import _pull_to_core, grid_converge, grid_popular_bruteforce, pull_toward_origin
 from delib.solvers import grid_targets
 from delib.space import Agent, DeliberationSpace, Kind, approves, grid_point, score
 
@@ -80,6 +81,29 @@ class TestPull:
                 agent = space.agents[0]
                 if approves(agent, grid_point(px, py), space):
                     assert approves(agent, pulled, space), ((ax, ay), (px, py))
+
+
+_coord = st.integers(-60, 60)
+# Off-axis points, the axes and both diagonals, where pulls reach 0 or shrink
+# both coordinates together, and the core, where no pull is taken.
+_grid_pairs = st.one_of(
+    st.tuples(_coord, _coord),
+    _coord.map(lambda v: (v, 0)),
+    _coord.map(lambda v: (0, v)),
+    _coord.map(lambda v: (v, v)),
+    _coord.map(lambda v: (v, -v)),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+).filter(lambda xy: xy != (0, 0))
+
+
+class TestPullToCore:
+    @settings(max_examples=400, deadline=None)
+    @given(_grid_pairs)
+    def test_matches_repeated_pulls(self, xy):
+        p = grid_point(*xy)
+        while abs(p.data[0]) > 1 or abs(p.data[1]) > 1:
+            p = pull_toward_origin(p)
+        assert _pull_to_core(grid_point(*xy)) == p
 
 
 class TestTargets:

@@ -109,6 +109,27 @@ class TestRoundTrip:
         with pytest.raises(InstanceFormatError):
             instancefile.from_document(doc)
 
+    @pytest.mark.parametrize(
+        "bad,line",
+        [
+            ("1/0", "bad coordinates ['0', '0', '0', '1/0']: Fraction(1, 0)"),
+            ("2/x", "bad coordinates ['0', '0', '0', '2/x']: Invalid literal for Fraction: '2/x'"),
+        ],
+    )
+    def test_repeated_coordinate_strings(self, tmp_path, capsys, bad, line):
+        # Coordinate strings are parsed once per load; a bad one still fails
+        # where it first appears, though "0" and the bad string repeat.
+        agents = [{"coords": ["0"] * i + ["1"] + ["0"] * (3 - i), "weight": "1"} for i in range(4)]
+        agents += [{"coords": ["0", "0", "0", bad], "weight": "1"}] * 2
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"version": 1, "kind": "euclidean", "d": 4, "agents": agents}))
+        assert run_cli("solve", "--space", str(path)) == 6
+        assert capsys.readouterr().err == f"error: cannot load instance: {line}\n"
+        doc = json.loads(path.read_text())
+        doc["agents"] = doc["agents"][:4]
+        loaded = instancefile.from_document(doc).space
+        assert loaded == gen_euc_slow(4).space
+
     def test_invalid_structure_rejected(self):
         fam = gen_euc_slow(2)
         doc = instancefile.to_document(Instance(fam.space))
