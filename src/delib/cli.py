@@ -12,6 +12,7 @@ with the space; 5 inadmissible generator parameters; 6 input parse failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 from . import generators, instancefile, solvers
 from .dynamics import (
+    TRACE_CSV_HEADER,
     AdversarialScheduler,
     GreedyFastScheduler,
     RandomScheduler,
@@ -100,16 +102,22 @@ def _slow_lower_bound(n: int) -> float:
 
 
 def _family_for(inst: Instance):
+    """``(family, None)`` for the slow family the file declares, rebuilt from
+    its metadata, else ``(None, message)``.  Both families have exactly ``n``
+    agents, so the count is compared before the family is built."""
     meta = inst.meta or {}
-    family = meta.get("family")
     try:
-        if family == "euc-slow":
-            return generators.gen_euc_slow(int(meta["n"]))
-        if family == "hyp-slow":
-            return generators.gen_hyp_slow(int(meta["n"]))
-    except (KeyError, TypeError, ValueError, GeneratorError):
-        return None
-    return None
+        generate = {"euc-slow": generators.gen_euc_slow, "hyp-slow": generators.gen_hyp_slow}[meta["family"]]
+        n = int(meta["n"])
+        family = generate(n) if n == inst.space.n else None
+    except (KeyError, TypeError, ValueError):  # ValueError covers GeneratorError
+        return None, (
+            "adversarial scheduling needs a generated slow-family instance "
+            "(its support oracle is reconstructed from the file metadata)"
+        )
+    if family is None or family.space != inst.space:
+        return None, "instance does not match its declared family"
+    return family, None
 
 
 def cmd_simulate(args) -> int:
@@ -125,15 +133,9 @@ def cmd_simulate(args) -> int:
             return _fail(EXIT_BAD_SCHEDULER, "greedy-fast runs on Euclidean spaces only")
         scheduler = GreedyFastScheduler()
     elif args.scheduler == "adversarial":
-        family = _family_for(inst)
+        family, message = _family_for(inst)
         if family is None:
-            return _fail(
-                EXIT_BAD_SCHEDULER,
-                "adversarial scheduling needs a generated slow-family instance "
-                "(its support oracle is reconstructed from the file metadata)",
-            )
-        if family.space != space:
-            return _fail(EXIT_BAD_SCHEDULER, "instance does not match its declared family")
+            return _fail(EXIT_BAD_SCHEDULER, message)
         scheduler = AdversarialScheduler(family.support_oracle)
     elif args.scheduler == "grid-converge":
         if space.kind is not Kind.GRID:
@@ -292,8 +294,6 @@ def _verify_trace(args) -> int:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_PARSE, f"cannot read trace: {exc}")
-    from .dynamics import TRACE_CSV_HEADER
-
     if not lines or lines[0] != TRACE_CSV_HEADER:
         print("first_violation=header")
         return EXIT_VERIFY_FAIL
@@ -347,8 +347,6 @@ def _sat_satisfiable(num_vars: int, clauses) -> bool:
 
 
 def _has_independent_set(num_vertices: int, edges, kappa: int) -> bool:
-    import itertools
-
     forbidden = {frozenset(e) for e in edges}
     for combo in itertools.combinations(range(1, num_vertices + 1), kappa):
         if all(frozenset(p) not in forbidden for p in itertools.combinations(combo, 2)):
@@ -426,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="auto",
-        choices=["auto", "brute", "ilp", "subset-lp", "cells", "grid"],
+        choices=["auto", *(m.value for m in solvers.Method)],
     )
     p.add_argument("--eta", help="score threshold to test (rational, e.g. 3 or 7/2)")
     p.add_argument("--json", help="also write the report as JSON to this path")

@@ -1,9 +1,10 @@
 """Coalition structures, k-compromise transitions, schedulers and runs.
 
-A transition dissolves up to ``k`` coalitions into a new one consisting of
-exactly the participants' members who approve the chosen proposal, which
-must be strictly heavier than every participating coalition; dissenters stay
-behind under their old proposals.
+A transition is its participating coalitions (up to ``k``) and a proposal.
+The new coalition is derived, not chosen: exactly the participants' members
+who approve the proposal, which must be strictly heavier than every
+participating coalition; dissenters stay behind under their old proposals.
+:func:`validate_transition` derives it, once per applied step.
 
 Single-coalition "transitions" are vacuous (strict growth inside a subset of
 one coalition is impossible) and are never searched.
@@ -24,7 +25,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from . import solvers
 from .solvers import DEFAULT_LIMITS, SolverLimits
@@ -101,35 +102,16 @@ def coalition_weight(space: DeliberationSpace, members) -> Fraction | int:
 
 @dataclass(frozen=True)
 class Transition:
-    """One applied k-compromise: participants, proposal, joiners, leftovers."""
+    """One k-compromise: the participating coalitions' indices and the new
+    proposal.  The new coalition follows from them (see
+    :func:`validate_transition`)."""
 
     participants: tuple[int, ...]
     new_proposal: Point
-    new_members: frozenset[int]
-    leftovers: tuple[tuple[int, frozenset[int]], ...]
 
     @property
     def ell(self) -> int:
         return len(self.participants)
-
-
-def build_transition(
-    space: DeliberationSpace,
-    structure: CoalitionStructure,
-    participants: Sequence[int],
-    proposal: Point,
-) -> Transition:
-    """Assemble the transition induced by a proposal: joiners are exactly the
-    approving members of the participating coalitions."""
-    test = approval_test(space, proposal)
-    new_members: set[int] = set()
-    leftovers = []
-    for j in participants:
-        members = structure.coalitions[j].members
-        joining = {i for i in members if test(space.agents[i])}
-        new_members |= joining
-        leftovers.append((j, frozenset(members - joining)))
-    return Transition(tuple(participants), proposal, frozenset(new_members), tuple(leftovers))
 
 
 def validate_transition(
@@ -137,42 +119,44 @@ def validate_transition(
     structure: CoalitionStructure,
     t: Transition,
     k: int,
-) -> tuple[bool, str | None]:
-    """Exact check of every transition clause; names the first violation."""
+) -> tuple[frozenset[int] | None, str | None]:
+    """Exact check of every transition clause.
+
+    Returns ``(new_members, None)`` when ``t`` is valid, ``new_members``
+    being the participants' members who approve the proposal (never empty,
+    so it reads as true), and ``(None, reason)`` naming the first violation
+    otherwise.
+    """
     idx = t.participants
     if len(set(idx)) != len(idx) or any(not 0 <= j < len(structure) for j in idx):
-        return False, "participants must be distinct coalition indices"
+        return None, "participants must be distinct coalition indices"
     if not 2 <= t.ell <= k:
-        return False, f"participant count {t.ell} outside 2..{k}"
+        return None, f"participant count {t.ell} outside 2..{k}"
     try:
         test = approval_test(space, t.new_proposal)
     except Exception:
-        return False, "new proposal is not a proposal of this space"
-    expected: set[int] = set()
-    for j in idx:
-        expected |= {i for i in structure.coalitions[j].members if test(space.agents[i])}
-    if t.new_members != expected:
-        return False, "new coalition must consist of exactly the approving members"
-    if not t.new_members:
-        return False, "new coalition is empty"
-    new_weight = coalition_weight(space, t.new_members)
+        return None, "new proposal is not a proposal of this space"
+    new_members = frozenset(
+        i for j in idx for i in structure.coalitions[j].members if test(space.agents[i])
+    )
+    if not new_members:
+        return None, "new coalition is empty"
+    new_weight = coalition_weight(space, new_members)
     for j in idx:
         if new_weight <= coalition_weight(space, structure.coalitions[j].members):
-            return False, f"no strict growth over participant {j}"
-    expected_left = {j: structure.coalitions[j].members - t.new_members for j in idx}
-    if dict(t.leftovers) != expected_left:
-        return False, "leftovers do not match the dissenting members"
-    return True, None
+            return None, f"no strict growth over participant {j}"
+    return new_members, None
 
 
-def _apply_in_place(coalitions: list[Coalition], t: Transition):
-    """Apply ``t`` to a list of coalitions: survivors keep their order, then
-    the new coalition, then non-empty leftovers in participant order."""
-    kept = [Coalition(rest, coalitions[j].proposal) for j, rest in t.leftovers if rest]
-    for j in sorted(set(t.participants), reverse=True):
+def _apply_in_place(coalitions: list[Coalition], t: Transition, new_members: frozenset[int]):
+    """Apply ``t``, whose new coalition is ``new_members``, to a list of
+    coalitions: survivors keep their order, then the new coalition, then the
+    non-empty leftovers in participant order."""
+    left = [(coalitions[j].members - new_members, coalitions[j].proposal) for j in t.participants]
+    for j in sorted(t.participants, reverse=True):
         del coalitions[j]
-    coalitions.append(Coalition(t.new_members, t.new_proposal))
-    coalitions.extend(kept)
+    coalitions.append(Coalition(new_members, t.new_proposal))
+    coalitions.extend(Coalition(rest, p) for rest, p in left if rest)
 
 
 def apply_transition(
@@ -180,9 +164,16 @@ def apply_transition(
     structure: CoalitionStructure,
     t: Transition,
 ) -> CoalitionStructure:
-    """The structure after ``t``, as :func:`run_deliberation` leaves it."""
+    """The structure after ``t``, as :func:`run_deliberation` leaves it.
+
+    Raises :class:`DynamicsError` when ``t`` is not a valid transition of
+    ``structure`` (with ``k = t.ell``).
+    """
+    new_members, reason = validate_transition(space, structure, t, t.ell)
+    if new_members is None:
+        raise DynamicsError(f"invalid transition: {reason}")
     coalitions = list(structure.coalitions)
-    _apply_in_place(coalitions, t)
+    _apply_in_place(coalitions, t, new_members)
     return CoalitionStructure(tuple(coalitions))
 
 
@@ -203,16 +194,21 @@ def potential(structure: CoalitionStructure, space: DeliberationSpace) -> int:
     return sum(_potential_term(space, c.members) for c in structure.coalitions)
 
 
-def potential_change(space: DeliberationSpace, structure: CoalitionStructure, t: Transition) -> int:
-    """Potential after applying ``t`` to ``structure`` minus the potential before.
+def potential_change(
+    space: DeliberationSpace, structure: CoalitionStructure, t: Transition, new_members: frozenset[int]
+) -> int:
+    """Potential after applying ``t``, whose new coalition is ``new_members``,
+    to ``structure`` minus the potential before.
 
     Only the coalitions ``t`` touches change, so this costs O(ell) terms
-    where :func:`potential` costs one per coalition.
+    where :func:`potential` costs one per coalition (an empty leftover's
+    term is 0).
     """
-    gained = _potential_term(space, t.new_members)
-    gained += sum(_potential_term(space, rest) for _, rest in t.leftovers if rest)
-    lost = sum(_potential_term(space, structure.coalitions[j].members) for j in t.participants)
-    return gained - lost
+    change = _potential_term(space, new_members)
+    for j in t.participants:
+        members = structure.coalitions[j].members
+        change += _potential_term(space, members - new_members) - _potential_term(space, members)
+    return change
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +291,7 @@ def enumerate_compromises(
             proposal = _candidate_proposal(space, structure, subset, limits)
         current[key] = proposal
         if proposal is not None:
-            out.append(build_transition(space, structure, subset, proposal))
+            out.append(Transition(subset, proposal))
     known.clear()
     known.update(current)
     return out
@@ -366,8 +362,6 @@ class AdversarialScheduler(Scheduler):
         return best[0], best[1]
 
     def __call__(self, space, structure, k, rng):
-        if len(structure) < 2:
-            return None
         pick = self._pick(structure)
         if pick is None:
             return None
@@ -385,16 +379,7 @@ class AdversarialScheduler(Scheduler):
         proposal = self.oracle(members)
         if proposal is None:
             return None
-        t = Transition(
-            (i, j),
-            proposal,
-            members,
-            (
-                (i, frozenset(first[take_first:])),
-                (j, frozenset(second[take_second:])),
-            ),
-        )
-        return t
+        return Transition((i, j), proposal)
 
 
 class GreedyFastScheduler(Scheduler):
@@ -422,7 +407,7 @@ class GreedyFastScheduler(Scheduler):
                 both = structure.coalitions[i].members | structure.coalitions[j].members
                 p = solvers._perfect_proposal([space.agents[a] for a in both])
                 if p is not None:
-                    return build_transition(space, structure, (i, j), p)
+                    return Transition((i, j), p)
         # (ii) one agent joins a maximum-weight coalition
         weights = [coalition_weight(space, c.members) for c in structure.coalitions]
         top = max(range(m), key=lambda j: (weights[j], -j))
@@ -434,13 +419,13 @@ class GreedyFastScheduler(Scheduler):
             joined = sorted(structure.coalitions[top].members) + [agent]
             p = solvers._perfect_proposal([space.agents[a] for a in joined])
             if p is not None:
-                return build_transition(space, structure, (top, j), p)
+                return Transition((top, j), p)
         # (iii) two coalitions: aim straight at a popular proposal
         if m == 2:
             report = solvers.solve_popular(space, "auto", self.limits)
-            t = build_transition(space, structure, (0, 1), report.best_proposal)
-            ok, _ = validate_transition(space, structure, t, k=2)
-            if ok:
+            t = Transition((0, 1), report.best_proposal)
+            new_members, _ = validate_transition(space, structure, t, k=2)
+            if new_members:
                 return t
         return None
 
@@ -465,6 +450,7 @@ class _LiveStructure:
 class TraceStep:
     transition: Transition
     participant_sizes: tuple[int, ...]
+    new_size: int
     phi_before: int | None
     phi_after: int | None
 
@@ -490,7 +476,7 @@ def trace_to_csv(trace: Trace) -> str:
         sizes = "+".join(str(s) for s in step.participant_sizes)
         phi_b = "" if step.phi_before is None else str(step.phi_before)
         phi_a = "" if step.phi_after is None else str(step.phi_after)
-        lines.append(f"{i},{t.ell},{sizes},{len(t.new_members)},{phi_b},{phi_a}")
+        lines.append(f"{i},{t.ell},{sizes},{step.new_size},{phi_b},{phi_a}")
     return "\n".join(lines) + "\n"
 
 
@@ -504,12 +490,14 @@ def run_deliberation(
 ) -> Trace:
     """Apply scheduler-chosen transitions until none remains.
 
-    Every transition is re-validated before it is applied; a scheduler
-    producing an invalid one is a bug and fails hard.  On integer weights
-    the potential is computed once from scratch and then updated from each
-    step's :func:`potential_change`; for k = 2 each step must raise it by at
-    least 1, which also enforces the 2^n step bound.  Very long runs can
-    skip step recording; the trace then reports the count only.
+    Every transition is validated before it is applied, which derives its
+    new coalition once for the potential update, the application and the
+    trace; a scheduler producing an invalid transition is a bug and fails
+    hard.  On integer weights the potential is computed once from scratch
+    and then updated from each step's :func:`potential_change`; for k = 2
+    each step must raise it by at least 1, which also enforces the 2^n step
+    bound.  Very long runs can skip step recording; the trace then reports
+    the count only.
 
     The run applies each transition in place to one live list of coalitions,
     as :func:`apply_transition` orders them, instead of copying the
@@ -528,19 +516,19 @@ def run_deliberation(
         t = scheduler(space, structure, k, rng)
         if t is None:
             break
-        ok, reason = validate_transition(space, structure, t, k)
-        if not ok:
+        new_members, reason = validate_transition(space, structure, t, k)
+        if new_members is None:
             raise DynamicsError(f"scheduler produced an invalid transition: {reason}")
         sizes = tuple(len(structure.coalitions[j].members) for j in t.participants)
         phi_before = phi_current
         if integer_weights:
-            phi_current = phi_before + potential_change(space, structure, t)
+            phi_current = phi_before + potential_change(space, structure, t, new_members)
             if k == 2 and phi_current - phi_before < 1:
                 raise DynamicsError("a 2-compromise must raise the potential; this is a bug")
-        _apply_in_place(structure.coalitions, t)
+        _apply_in_place(structure.coalitions, t, new_members)
         count += 1
         if record_steps:
-            steps.append(TraceStep(t, sizes, phi_before, phi_current))
+            steps.append(TraceStep(t, sizes, len(new_members), phi_before, phi_current))
         if cap is not None and count > cap:
             raise DynamicsError("run exceeded the k^n transition bound; this is a bug")
     if k == 2 and integer_weights and count > 2 ** space.n:

@@ -28,7 +28,7 @@ from .dynamics import (
     DynamicsError,
     Scheduler,
     Trace,
-    build_transition,
+    Transition,
     is_successful,
     run_deliberation,
     singleton_structure,
@@ -110,7 +110,9 @@ class _GridScheduler(Scheduler):
     order (a merged one is appended with a fresh id), so a coalition's index
     is its id's rank among the live ids and no merge rescans the structure.
     The ids assume every transition returned is applied, as
-    :func:`run_deliberation` does.
+    :func:`run_deliberation` does, and that a merge leaves no member behind;
+    a structure whose length differs from the live ids breaks either and
+    raises.
     """
 
     name = "grid-converge"
@@ -127,18 +129,17 @@ class _GridScheduler(Scheduler):
     def __call__(self, space, structure, k, rng):
         if self.finished:
             return None
+        if len(structure) != len(self.live):
+            raise DynamicsError("the structure no longer matches the scheduler's coalition ids")
         ready = [ids for ids in self.by_target.values() if len(ids) >= 2]
         if ready:
             ids = min(ready, key=lambda group: group[0])
             i, j = bisect_left(self.live, ids[0]), bisect_left(self.live, ids[1])
-            t = build_transition(space, structure, (i, j), structure.coalitions[i].proposal)
-            if any(rest for _, rest in t.leftovers):
-                raise DynamicsError("a relabelled coalition holds a member who does not approve its target")
             del self.live[j], self.live[i], ids[:2]
             new_id = next(self.fresh_ids)
             self.live.append(new_id)
             ids.append(new_id)
-            return t
+            return Transition((i, j), structure.coalitions[i].proposal)
         self.finished = True
         if is_successful(space, structure, self.popular_score):
             return None
@@ -148,7 +149,7 @@ class _GridScheduler(Scheduler):
             for j, c in enumerate(structure.coalitions)
             if any(test(space.agents[i]) for i in c.members)
         )
-        return build_transition(space, structure, participants, self.best)
+        return Transition(participants, self.best)
 
 
 def grid_converge(

@@ -633,14 +633,7 @@ def solve_grid_four(space: DeliberationSpace) -> SolverReport:
 # ---------------------------------------------------------------------------
 # Dispatch.
 
-_METHODS = {
-    "auto": None,
-    "brute": Method.HYP_BRUTE,
-    "ilp": Method.HYP_TYPE_ILP,
-    "subset-lp": Method.EUC_SUBSET_LP,
-    "cells": Method.EUC_CELLS,
-    "grid": Method.GRID_FOUR,
-}
+_METHODS = {"auto": None, **{m.value: m for m in Method}}
 
 
 def solve_hyp_popular_via_ilp(

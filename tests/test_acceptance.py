@@ -17,7 +17,7 @@ from delib.dynamics import (
     Coalition,
     CoalitionStructure,
     RandomScheduler,
-    build_transition,
+    Transition,
     coalition_weight,
     enumerate_compromises,
     is_successful,
@@ -185,12 +185,10 @@ def test_criterion_6_exp_compromise_and_grid_examples():
     assert inst.types_per_proposal == 162
     result = verify_exp_compromise(inst)
     assert result.passed, result.failures
-    pivot_move = build_transition(
-        inst.space, inst.initial, tuple(range(len(inst.initial.coalitions))), inst.pivot
-    )
-    ok, reason = validate_transition(inst.space, inst.initial, pivot_move, k=3)
-    assert ok, reason
-    new_weight = coalition_weight(inst.space, pivot_move.new_members)
+    pivot_move = Transition(tuple(range(len(inst.initial.coalitions))), inst.pivot)
+    new_members, reason = validate_transition(inst.space, inst.initial, pivot_move, k=3)
+    assert new_members, reason
+    new_weight = coalition_weight(inst.space, new_members)
     assert all(
         new_weight > coalition_weight(inst.space, c.members) for c in inst.initial.coalitions
     )
@@ -209,7 +207,7 @@ def test_criterion_6_exp_compromise_and_grid_examples():
     )
     found = enumerate_compromises(five, five_initial, 2)
     assert found
-    assert len(found[0].new_members) == 4
+    assert len(validate_transition(five, five_initial, found[0], 2)[0]) == 4
     assert found[0].new_proposal.coords() == (0, 1)
 
     nine = DeliberationSpace(
@@ -230,7 +228,7 @@ def test_criterion_6_exp_compromise_and_grid_examples():
     assert enumerate_compromises(nine, nine_initial, 2) == []
     three_way = enumerate_compromises(nine, nine_initial, 3)
     assert three_way
-    assert len(three_way[0].new_members) == 5
+    assert len(validate_transition(nine, nine_initial, three_way[0], 3)[0]) == 5
     assert three_way[0].new_proposal.coords() == (0, 1)
     report(6, "exp-compromise and grid witnesses", "five checks pass; grid examples exact")
 

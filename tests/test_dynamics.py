@@ -17,7 +17,6 @@ from delib.dynamics import (
     RandomScheduler,
     Transition,
     apply_transition,
-    build_transition,
     enumerate_compromises,
     is_successful,
     potential,
@@ -94,11 +93,20 @@ class TestPotential:
         assert potential(singleton_structure(space), space) == -2 + 4 + 2
 
 
+def new_coalition(space, structure, t):
+    """The new coalition of ``t``, as validate_transition derives it."""
+    new_members, reason = validate_transition(space, structure, t, t.ell)
+    assert new_members is not None, reason
+    return new_members
+
+
 def assert_potentials_from_scratch(space, initial, trace):
-    """Replay the trace and compare each recorded potential with potential()."""
+    """Replay the trace and compare each recorded potential with potential()
+    and each recorded new-coalition size with the derived coalition."""
     structure = initial
     for step in trace.steps:
         assert step.phi_before == potential(structure, space)
+        assert step.new_size == len(new_coalition(space, structure, step.transition))
         structure = apply_transition(space, structure, step.transition)
         assert step.phi_after == potential(structure, space)
     assert structure == trace.final
@@ -136,9 +144,14 @@ class TestIncrementalPotential:
         for step in trace.steps:
             t = step.transition
             part = set(t.participants)
+            new_members = new_coalition(fam.space, structure, t)
+            leftovers = [
+                (structure.coalitions[j].members - new_members, structure.coalitions[j].proposal)
+                for j in t.participants
+            ]
             expected = [c for j, c in enumerate(structure.coalitions) if j not in part]
-            expected.append(Coalition(t.new_members, t.new_proposal))
-            expected += [Coalition(rest, structure.coalitions[j].proposal) for j, rest in t.leftovers if rest]
+            expected.append(Coalition(new_members, t.new_proposal))
+            expected += [Coalition(rest, proposal) for rest, proposal in leftovers if rest]
             structure = apply_transition(fam.space, structure, t)
             assert structure.coalitions == tuple(expected)
 
@@ -151,7 +164,7 @@ class TestIncrementalPotential:
         assert_potentials_from_scratch(space, initial, trace)
 
     def test_broken_potential_update_fails_the_run(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "potential_change", lambda space, structure, t: 0)
+        monkeypatch.setattr(dynamics, "potential_change", lambda space, structure, t, new_members: 0)
         fam = gen_euc_slow(4)
         with pytest.raises(DynamicsError, match="raise the potential"):
             run_deliberation(
@@ -170,22 +183,12 @@ class TestTransitions:
                 ({2, 3}, fam.support_oracle(frozenset({2, 3}))),
             ],
         )
-        t = build_transition(
-            fam.space, structure, (0, 1), fam.support_oracle(frozenset({0, 1}))
-        )
+        t = Transition((0, 1), fam.support_oracle(frozenset({0, 1})))
         ok, reason = validate_transition(fam.space, structure, t, 2)
         assert ok, reason
         after = apply_transition(fam.space, structure, t)
         validate_structure(fam.space, after)
         assert len(after) == 2
-
-    def test_joiners_must_be_exactly_the_approvers(self):
-        fam = gen_euc_slow(3)
-        structure = singleton_structure(fam.space)
-        p = fam.support_oracle(frozenset({0, 1}))
-        t = Transition((0, 1), p, frozenset({0}), ((0, frozenset()), (1, frozenset({1}))))
-        ok, reason = validate_transition(fam.space, structure, t, 2)
-        assert not ok and "exactly the approving" in reason
 
     def test_strict_growth_required(self):
         fam = gen_euc_slow(4)
@@ -197,17 +200,31 @@ class TestTransitions:
             ],
         )
         # proposal supported only by {0, 2}: same size as each participant
-        t = build_transition(
-            fam.space, structure, (0, 1), fam.support_oracle(frozenset({0, 2}))
-        )
+        t = Transition((0, 1), fam.support_oracle(frozenset({0, 2})))
         ok, reason = validate_transition(fam.space, structure, t, 2)
         assert not ok and "strict growth" in reason
+
+    def test_apply_rejects_invalid_transitions(self):
+        fam = gen_euc_slow(4)
+        structure = structure_of(
+            fam.space,
+            [
+                ({0, 1}, fam.support_oracle(frozenset({0, 1}))),
+                ({2, 3}, fam.support_oracle(frozenset({2, 3}))),
+            ],
+        )
+        with pytest.raises(DynamicsError, match="no strict growth over participant 0"):
+            apply_transition(fam.space, structure, Transition((0, 1), fam.support_oracle(frozenset({0, 2}))))
+        with pytest.raises(DynamicsError, match="participant count 1 outside 2..1"):
+            apply_transition(fam.space, structure, Transition((0,), fam.support_oracle(frozenset({0, 1, 2}))))
+        with pytest.raises(DynamicsError, match="distinct coalition indices"):
+            apply_transition(fam.space, structure, Transition((0, 2), fam.support_oracle(frozenset({0, 1, 2}))))
 
     def test_ell_bounds(self):
         fam = gen_euc_slow(3)
         structure = singleton_structure(fam.space)
         p = fam.support_oracle(frozenset({0, 1, 2}))
-        t = build_transition(fam.space, structure, (0, 1, 2), p)
+        t = Transition((0, 1, 2), p)
         ok, reason = validate_transition(fam.space, structure, t, 2)
         assert not ok and "outside 2..2" in reason
         ok, _ = validate_transition(fam.space, structure, t, 3)
@@ -216,9 +233,7 @@ class TestTransitions:
     def test_apply_drops_empty_leftovers(self):
         fam = gen_euc_slow(2)
         structure = singleton_structure(fam.space)
-        t = build_transition(
-            fam.space, structure, (0, 1), fam.support_oracle(frozenset({0, 1}))
-        )
+        t = Transition((0, 1), fam.support_oracle(frozenset({0, 1})))
         after = apply_transition(fam.space, structure, t)
         assert len(after) == 1
 
@@ -252,7 +267,7 @@ class TestFindKCompromise:
         assert enumerate_compromises(space, structure, 2) == []
         found = enumerate_compromises(space, structure, 3)
         assert found
-        assert len(found[0].new_members) == 5
+        assert len(new_coalition(space, structure, found[0])) == 5
         assert found[0].new_proposal.coords() == (0, 1)
 
     def test_successful_structure_terminal(self):
@@ -306,16 +321,18 @@ class TestFindKCompromise:
                     enumerate_compromises(space, structure, 2, limits=limits)
             else:
                 found = enumerate_compromises(space, structure, 2, limits=limits)
-                assert found and len(found[0].new_members) == 5
+                assert found and len(new_coalition(space, structure, found[0])) == 5
 
 
 class TestAdversarialScheduler:
     def test_singleton_pair_merges(self):
         fam = gen_euc_slow(2)
         sched = AdversarialScheduler(fam.support_oracle)
-        t = sched(fam.space, singleton_structure(fam.space), 2, random.Random(0))
-        assert len(t.new_members) == 2
-        assert all(not rest for _, rest in t.leftovers)
+        structure = singleton_structure(fam.space)
+        t = sched(fam.space, structure, 2, random.Random(0))
+        new_members = new_coalition(fam.space, structure, t)
+        assert len(new_members) == 2
+        assert all(not structure.coalitions[j].members - new_members for j in t.participants)
 
     def test_equal_pair_split(self):
         fam = gen_euc_slow(4)
@@ -329,8 +346,9 @@ class TestAdversarialScheduler:
         sched = AdversarialScheduler(fam.support_oracle)
         t = sched(fam.space, structure, 2, random.Random(0))
         # (2) + (2) -> (3) + (0) + (1)
-        assert len(t.new_members) == 3
-        leftover_sizes = sorted(len(rest) for _, rest in t.leftovers)
+        new_members = new_coalition(fam.space, structure, t)
+        assert len(new_members) == 3
+        leftover_sizes = sorted(len(structure.coalitions[j].members - new_members) for j in t.participants)
         assert leftover_sizes == [0, 1]
 
     def test_unequal_smallest_pair(self):
@@ -345,8 +363,9 @@ class TestAdversarialScheduler:
         sched = AdversarialScheduler(fam.support_oracle)
         t = sched(fam.space, structure, 2, random.Random(0))
         # (2) + (3) -> (4) + (0) + (1)
-        assert len(t.new_members) == 4
-        assert sorted(len(rest) for _, rest in t.leftovers) == [0, 1]
+        new_members = new_coalition(fam.space, structure, t)
+        assert len(new_members) == 4
+        assert sorted(len(structure.coalitions[j].members - new_members) for j in t.participants) == [0, 1]
 
     def test_full_run_terminates_and_raises_potential(self):
         fam = gen_euc_slow(6)
@@ -388,8 +407,9 @@ class TestGreedyFast:
 
     def test_merge_preferred_when_available(self):
         space = euc_space([[1, 0], [1, 1]])
-        t = GreedyFastScheduler()(space, singleton_structure(space), 2, random.Random(0))
-        assert t is not None and len(t.new_members) == 2
+        structure = singleton_structure(space)
+        t = GreedyFastScheduler()(space, structure, 2, random.Random(0))
+        assert t is not None and len(new_coalition(space, structure, t)) == 2
 
 
 class TestRandomScheduler:

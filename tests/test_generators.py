@@ -20,7 +20,7 @@ from delib.generators import (
     reduce_is_to_hyp,
     verify_exp_compromise,
 )
-from delib.dynamics import build_transition, coalition_weight, validate_transition
+from delib.dynamics import Transition, coalition_weight, validate_transition
 from delib.solvers import hyp_unanimous_proposal, solve_euc_subsets
 from delib.space import Agent, Point, approver_indices, distance, distinct_positions
 
@@ -110,10 +110,10 @@ class TestExpCompromise:
 
     def test_pivot_compromise_validates_and_outweighs(self):
         inst = gen_exp_compromise(28)
-        t = build_transition(inst.space, inst.initial, (0, 1, 2), inst.pivot)
-        ok, reason = validate_transition(inst.space, inst.initial, t, k=3)
-        assert ok, reason
-        new_weight = coalition_weight(inst.space, t.new_members)
+        t = Transition((0, 1, 2), inst.pivot)
+        new_members, reason = validate_transition(inst.space, inst.initial, t, k=3)
+        assert new_members, reason
+        new_weight = coalition_weight(inst.space, new_members)
         for c in inst.initial.coalitions:
             assert new_weight > coalition_weight(inst.space, c.members)
 

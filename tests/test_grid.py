@@ -9,11 +9,14 @@ from hypothesis import given, settings, strategies as st
 from delib.dynamics import (
     Coalition,
     CoalitionStructure,
+    DynamicsError,
+    Transition,
     enumerate_compromises,
     is_successful,
+    singleton_structure,
 )
 from delib.generators import gen_random
-from delib.grid import _pull_to_core, grid_converge, grid_popular_bruteforce, pull_toward_origin
+from delib.grid import _GridScheduler, _pull_to_core, grid_converge, grid_popular_bruteforce, pull_toward_origin
 from delib.solvers import grid_targets
 from delib.space import Agent, DeliberationSpace, Kind, approves, grid_point, score
 
@@ -222,6 +225,17 @@ class TestConverge:
         trace = grid_converge(space)
         assert any("relabel" in note for note in trace.notes)
         assert trace.total_steps <= 2
+
+    def test_scheduler_rejects_a_structure_it_did_not_build(self):
+        # The scheduler's coalition ids track exactly the structure it was
+        # built from and its own transitions; one coalition more fails fast.
+        space = grid_space([(1, 0), (1, 0), (0, 1)], nonneg=True)
+        structure = singleton_structure(space)
+        scheduler = _GridScheduler(structure, grid_point(1, 0), Fraction(2))
+        longer = CoalitionStructure(structure.coalitions + structure.coalitions[:1])
+        with pytest.raises(DynamicsError, match="coalition ids"):
+            scheduler(space, longer, 2, random.Random(0))
+        assert scheduler(space, structure, 2, random.Random(0)) == Transition((0, 1), grid_point(1, 0))
 
 
 class TestWindowOracle:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,21 @@ class TestCli:
                 "--n", "3", "--d", "4", "--seed", "2", "--out", str(hyp))
         assert run_cli("simulate", "--space", str(hyp), "--scheduler", "greedy-fast") == 4
         assert run_cli("simulate", "--space", str(hyp), "--scheduler", "adversarial") == 4
+
+    def test_adversarial_checks_the_agent_count_before_building(self, tmp_path, capsys):
+        # A declared n far above the file's 3 agents is rejected without
+        # building the 200,000-agent family; so is a small wrong n.
+        path = tmp_path / "h.json"
+        assert run_cli("generate", "--family", "hyp-slow", "--n", "3", "--out", str(path)) == 0
+        doc = json.loads(path.read_text())
+        for n in (200000, 4):
+            doc["meta"]["n"] = n
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            start = time.perf_counter()
+            assert run_cli("simulate", "--space", str(path), "--scheduler", "adversarial") == 4
+            assert time.perf_counter() - start < 5
+            assert capsys.readouterr().err == "error: instance does not match its declared family\n"
 
     def test_generate_hyp_slow_dimensions(self, tmp_path):
         out = tmp_path / "h.json"
