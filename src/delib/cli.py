@@ -126,6 +126,9 @@ def cmd_simulate(args) -> int:
     except (OSError, InstanceFormatError) as exc:
         return _fail(EXIT_PARSE, f"cannot load instance: {exc}")
     space = inst.space
+    if args.scheduler in ("adversarial", "greedy-fast") and args.k < 2:
+        message = f"the {args.scheduler} scheduler plays 2-compromises; --k must be at least 2"
+        return _fail(EXIT_BAD_SCHEDULER, message)
     if args.scheduler == "random":
         scheduler = RandomScheduler()
     elif args.scheduler == "greedy-fast":

@@ -25,16 +25,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import solvers
-from .solvers import DEFAULT_LIMITS, SolverLimits
+from .solvers import DEFAULT_LIMITS, Method, SolverLimits
 from .space import (
     DeliberationSpace,
     Kind,
     Point,
     approval_test,
-    hypercube_point,
     score,
 )
 
@@ -215,48 +214,28 @@ def potential_change(
 # Searching for compromises.
 
 
-def _participant_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
-    for ell in range(2, min(k, m) + 1):
-        yield from itertools.combinations(range(m), ell)
+# The route the compromise search runs, per kind.
+_SEARCH_METHODS = {
+    Kind.HYPERCUBE: Method.HYP_BRUTE, Kind.EUCLIDEAN: Method.EUC_SUBSET_LP, Kind.GRID: Method.GRID_FOUR
+}
+_UNSEEN = object()
 
 
 def _candidate_proposal(
-    space: DeliberationSpace,
-    structure: CoalitionStructure,
-    subset: tuple[int, ...],
-    limits: SolverLimits,
+    space: DeliberationSpace, coalitions: tuple[Coalition, ...], limits: SolverLimits
 ) -> Point | None:
-    """Proposal of the canonical candidate: the heaviest approvable member
-    set within the union of the participants.  Valid iff it strictly
-    outweighs every participant; when it does not, no transition exists for
-    this subset and the result is None."""
-    union: list[int] = []
-    for j in subset:
-        union.extend(sorted(structure.coalitions[j].members))
-    union.sort()
-    max_part = max(coalition_weight(space, structure.coalitions[j].members) for j in subset)
+    """Proposal of the participating ``coalitions``' canonical candidate.
 
-    if space.kind is Kind.HYPERCUBE:
-        limits.check("hyp_brute_max_dim", space.dim)
-        masks = [(space.agents[i].position.data, space.agents[i].weight) for i in union]
-        best_mask, best_w = solvers._heaviest_mask(masks, space.dim)
-        return hypercube_point(best_mask, space.dim) if best_w > max_part else None
-    if space.kind is Kind.EUCLIDEAN:
-        agents = [space.agents[i] for i in union]
-        proposal, _ = solvers._strict_support_proposal(agents, limits, stop_below=max_part)
-        return proposal
-    candidates = list(solvers.grid_targets(space.grid_nonneg))
-    candidates += [structure.coalitions[j].proposal for j in subset]
-    best, best_w = None, _ZERO
-    for p in candidates:
-        test = approval_test(space, p)
-        w = sum((space.agents[i].weight for i in union if test(space.agents[i])), _ZERO)
-        if best is None or w > best_w:
-            best, best_w = p, w
-    return best if best_w > max_part else None
-
-
-_UNSEEN = object()
+    It is the popular proposal of their agents, found by the kind's search
+    route with the heaviest participant as ``stop_below``, so it is None
+    exactly when no proposal's approvers among them strictly outweigh every
+    participant, that is, when no transition exists for them.
+    """
+    agents = tuple(space.agents[i] for c in coalitions for i in c.members)
+    union = DeliberationSpace(space.kind, space.dim, agents, space.grid_nonneg)
+    heaviest = max(coalition_weight(space, c.members) for c in coalitions)
+    proposal, _ = solvers._run_route(_SEARCH_METHODS[space.kind], union, limits, heaviest)
+    return proposal
 
 
 def enumerate_compromises(
@@ -270,8 +249,8 @@ def enumerate_compromises(
 
     Subsets come in a fixed order (by size, then lexicographic), and the
     per-subset candidate is complete: if any transition exists for a
-    participant set, its candidate is one.  An empty list therefore
-    certifies k-terminality.
+    participant set, its candidate, whose approvers weigh the most, is one.
+    An empty list therefore certifies k-terminality.
 
     A candidate depends only on the space, the limits and the participating
     coalitions in structure order.  ``known`` maps such tuples of coalitions
@@ -284,14 +263,16 @@ def enumerate_compromises(
     known = {} if known is None else known
     out = []
     current = {}
-    for subset in _participant_subsets(len(structure), k):
-        key = tuple(structure.coalitions[j] for j in subset)
-        proposal = known.get(key, _UNSEEN)
-        if proposal is _UNSEEN:
-            proposal = _candidate_proposal(space, structure, subset, limits)
-        current[key] = proposal
-        if proposal is not None:
-            out.append(Transition(subset, proposal))
+    m = len(structure)
+    for ell in range(2, min(k, m) + 1):
+        for subset in itertools.combinations(range(m), ell):
+            key = tuple(structure.coalitions[j] for j in subset)
+            proposal = known.get(key, _UNSEEN)
+            if proposal is _UNSEEN:
+                proposal = _candidate_proposal(space, key, limits)
+            current[key] = proposal
+            if proposal is not None:
+                out.append(Transition(subset, proposal))
     known.clear()
     known.update(current)
     return out

@@ -600,6 +600,12 @@ def gen_random(
     lo, hi = coord_range
     if lo > hi:
         raise GeneratorError("empty coordinate range")
+    if kind in ("hypercube", "euclidean") and d < 1:
+        raise GeneratorError("the dimension must be at least 1")
+    if kind in ("euclidean", "grid") and lo == hi == 0:
+        raise GeneratorError("the coordinate range holds only 0")
+    if kind == "grid_nonneg" and hi < 1:
+        raise GeneratorError("the coordinate range holds no positive value")
     agents: list[Agent] = []
     if kind == "hypercube":
         for _ in range(n):

@@ -1,17 +1,22 @@
-"""Popular-proposal solvers, one per algorithmic route.
+"""Popular-proposal solvers, one route per method.
 
-Every solver returns a :class:`SolverReport` whose score is recomputed from
-the returned proposal, so cross-checking two solvers amounts to comparing
-reports.  The routes are deliberately independent of each other: hypercube
-brute force against the dimension-type ILP, and the subset LP against
+Each :class:`Method` has one private route ``(space, limits, stop_below) ->
+(proposal or None, work)``: the proposal the agents approve most, or None
+when its score does not exceed ``stop_below``.  The public ``solve_*``
+solvers check the space's kind and run their route in full, reporting a
+score recomputed from the proposal, so cross-checking two solvers amounts
+to comparing reports.  :func:`score_exceeds` and the compromise search in
+:mod:`.dynamics` run a route with a threshold.
+
+The routes are deliberately independent of each other: hypercube brute
+force against the dimension-type ILP, and the subset LP against
 hyperplane-arrangement cell enumeration, so each pair can act as oracle for
 the other.
 
-The hypercube brute force and the hypercube compromise search share one
-exhaustive scan, :func:`_heaviest_mask`.  It is word-parallel: Python ints
-serve as bitsets over 2^12 proposal masks at a time, each position's
-approval set for such a chunk is one table lookup, and the integer-scaled
-weights are summed in bit-sliced counters.  The same approval tables serve
+The hypercube brute force is the mask scan, :func:`_heaviest_mask`.  It is
+word-parallel: Python ints serve as bitsets over 2^12 proposal masks at a
+time, each position's approval set for such a chunk is one table lookup,
+and the integer-scaled weights are summed in bit-sliced counters.  The same approval tables serve
 the unanimity scan, :func:`hyp_unanimous_proposal`, which ANDs a chunk's
 sets instead of adding weights.
 
@@ -38,6 +43,7 @@ from .space import (
     approver_indices,
     distinct_positions,
     euclidean_point,
+    group_positions,
     grid_point,
     hypercube_point,
     score,
@@ -97,6 +103,11 @@ class SolverReport:
     work: int
 
 
+# A route's answer: the proposal, or None when its score does not exceed
+# ``stop_below``, and the work done.
+_Found = tuple[Point | None, int]
+
+
 def _report(space: DeliberationSpace, proposal: Point, method: Method, work: int) -> SolverReport:
     supporters = approver_indices(space, proposal)
     total = sum((space.agents[i].weight for i in supporters), _ZERO)
@@ -144,37 +155,30 @@ def _approval_table(low: int, width: int) -> list[int]:
     return above
 
 
-def _chunked_positions(
-    groups: Iterable[tuple[int, Fraction]], d: int
-) -> tuple[int, list[Fraction], list[tuple[list[int], int]]]:
+def _chunked_positions(masks: Iterable[int], d: int) -> tuple[int, list[tuple[list[int], int]]]:
     """The per-position set-up of the chunked mask scans.
 
-    Merges the ``(mask, weight)`` groups by position and returns
-    ``(width, weights, positions)``: the chunk width ``L = min(d, 12)``, and
-    per distinct position, in first-seen order, its summed weight and its
-    ``(approval table, high bits)`` pair.  Positions sharing their low ``L``
-    bits share one :func:`_approval_table`.
+    Returns the chunk width ``L = min(d, 12)`` and, per position mask in
+    order, its ``(approval table, high bits)`` pair.  Positions sharing
+    their low ``L`` bits share one :func:`_approval_table`.
     """
-    merged: dict[int, Fraction] = {}
-    for gmask, gw in groups:
-        merged[gmask] = merged.get(gmask, _ZERO) + gw
     width = min(d, _CHUNK_BITS)
     tables: dict[int, list[int]] = {}
     positions = []
-    for gmask in merged:
-        low = gmask & ((1 << width) - 1)
+    for mask in masks:
+        low = mask & ((1 << width) - 1)
         if low not in tables:
             tables[low] = _approval_table(low, width)
-        positions.append((tables[low], gmask >> width))
-    return width, list(merged.values()), positions
+        positions.append((tables[low], mask >> width))
+    return width, positions
 
 
 def _heaviest_mask(groups: Sequence[tuple[int, Fraction]], d: int) -> tuple[int, Fraction]:
     """First of the 2^d - 1 proposal masks with the largest approving weight.
 
-    ``groups`` holds ``(mask, weight)`` pairs.  Masks are scanned in
-    increasing order, which is lexicographic order on coordinates, so ties
-    go to the lexicographically smallest proposal.
+    ``groups`` holds one ``(mask, weight)`` pair per position.  Masks are
+    scanned in increasing order, which is lexicographic order on
+    coordinates, so ties go to the lexicographically smallest proposal.
 
     The scan is word-parallel.  Write a mask as ``(h << L) | lo`` with
     ``L = min(d, 12)``; a position g approves it iff
@@ -187,8 +191,8 @@ def _heaviest_mask(groups: Sequence[tuple[int, Fraction]], d: int) -> tuple[int,
     have each plane's bit when any do.  A later chunk wins only when it is
     strictly heavier.
     """
-    width, weights, positions = _chunked_positions(groups, d)
-    scale, scaled = _over_common_denominator(weights)
+    width, positions = _chunked_positions([mask for mask, _ in groups], d)
+    scale, scaled = _over_common_denominator(w for _, w in groups)
     # (approval table, high bits, set bits of the scaled weight) per position
     scan = [(above, high, [j for j in range(iw.bit_length()) if iw >> j & 1])
             for (above, high), iw in zip(positions, scaled)]
@@ -218,14 +222,15 @@ def _heaviest_mask(groups: Sequence[tuple[int, Fraction]], d: int) -> tuple[int,
     return best_mask, Fraction(best_value, scale)
 
 
-def solve_hyp_bruteforce(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
-    """Scan all 2^d - 1 proposals; ties go to the lexicographically smallest."""
-    if space.kind is not Kind.HYPERCUBE:
-        raise ValueError("hypercube solver called on a non-hypercube space")
+def _brute_route(space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None) -> _Found:
+    """The mask scan over all 2^d - 1 proposals; ties go to the
+    lexicographically smallest."""
     limits.check("hyp_brute_max_dim", space.dim)
-    best_mask, _ = _heaviest_mask([(pos.data, w) for pos, w in distinct_positions(space)], space.dim)
-    proposal = hypercube_point(best_mask, space.dim)
-    return _report(space, proposal, Method.HYP_BRUTE, (1 << space.dim) - 1)
+    best_mask, best_weight = _heaviest_mask([(pos.data, w) for pos, w in distinct_positions(space)], space.dim)
+    work = (1 << space.dim) - 1
+    if stop_below is not None and best_weight <= stop_below:
+        return None, work
+    return hypercube_point(best_mask, space.dim), work
 
 
 def hyp_unanimous_proposal(
@@ -238,11 +243,10 @@ def hyp_unanimous_proposal(
     lookup each.  A chunk stops at the first position that empties the set,
     and the scan at the first chunk with a mask left.
     """
-    if space.kind is not Kind.HYPERCUBE:
-        raise ValueError("hypercube solver called on a non-hypercube space")
+    _check_kind(space, Kind.HYPERCUBE)
     d = space.dim
     limits.check("hyp_brute_max_dim", d)
-    width, _, positions = _chunked_positions(((pos.data, w) for pos, w in distinct_positions(space)), d)
+    width, positions = _chunked_positions((pos.data for pos, _ in distinct_positions(space)), d)
     everything = (1 << (1 << width)) - 1
     for h in range(1 << (d - width)):
         size = h.bit_count()
@@ -391,9 +395,7 @@ def _heaviest_feasible(
     return None, work
 
 
-def _type_ilp_proposal(
-    space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None = None
-) -> tuple[Point | None, int]:
+def _type_ilp_route(space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None) -> _Found:
     """``(proposal or None, work)`` of the heaviest position subset the membership ILP admits."""
     grouped = distinct_positions(space)
     limits.check("ilp_max_groups", len(grouped))
@@ -452,27 +454,20 @@ def proposal_from_direction(positions: Sequence[Point], direction: Sequence[Frac
 
 def _perfect_proposal(agents: Sequence[Agent]) -> Point | None:
     """A proposal every one of the Euclidean ``agents`` approves, or None."""
-    positions = sorted({a.position for a in agents}, key=lambda p: p.sort_key())
+    positions = [pos for pos, _ in group_positions(agents)]
     x, _ = solve_strict_rows(positions[0].dim, [(">",) + p.data for p in positions])
     if x is None:
         return None
     return proposal_from_direction(positions, x)
 
 
-def _strict_support_proposal(
-    agents: Sequence[Agent], limits: SolverLimits, stop_below: Fraction | None = None
-) -> tuple[Point | None, int]:
-    """The proposal of the heaviest strict support among the Euclidean ``agents``.
-
-    Groups the agents by position, checks the subset guard and runs
-    :func:`best_strict_support`; returns ``(proposal or None, work)``.
-    """
-    grouped: dict[Point, Fraction] = {}
-    for a in agents:
-        grouped[a.position] = grouped.get(a.position, _ZERO) + a.weight
-    positions = sorted(grouped, key=lambda p: p.sort_key())
-    limits.check("subset_max_groups", len(positions))
-    found, work = best_strict_support(positions, [grouped[p] for p in positions], stop_below)
+def _subset_lp_route(space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None) -> _Found:
+    """The proposal of the heaviest strict support among the distinct
+    positions (:func:`best_strict_support`)."""
+    grouped = distinct_positions(space)
+    limits.check("subset_max_groups", len(grouped))
+    positions = [pos for pos, _ in grouped]
+    found, work = best_strict_support(positions, [w for _, w in grouped], stop_below)
     if found is None:
         return None, work
     kept, _, direction = found
@@ -481,8 +476,7 @@ def _strict_support_proposal(
 
 def solve_euc_perfect(space: DeliberationSpace) -> Point | None:
     """A proposal approved by every agent, or None when no such point exists."""
-    if space.kind is not Kind.EUCLIDEAN:
-        raise ValueError("Euclidean solver called on a non-Euclidean space")
+    _check_kind(space, Kind.EUCLIDEAN)
     proposal = _perfect_proposal(space.agents)
     if proposal is None:
         return None
@@ -490,14 +484,6 @@ def solve_euc_perfect(space: DeliberationSpace) -> Point | None:
     if not all(test(a) for a in space.agents):
         raise ValueError("the strictly feasible direction lost an agent's approval")
     return proposal
-
-
-def solve_euc_subsets(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
-    """Popular proposal by scanning subsets of distinct positions with LPs."""
-    if space.kind is not Kind.EUCLIDEAN:
-        raise ValueError("Euclidean solver called on a non-Euclidean space")
-    proposal, work = _strict_support_proposal(space.agents, limits)
-    return _report(space, proposal, Method.EUC_SUBSET_LP, work)
 
 
 def _cells_scan_cost(n: int, d: int) -> int:
@@ -523,10 +509,8 @@ def _cells_scan_cost(n: int, d: int) -> int:
 _CELLS_SCAN_BUDGET = _cells_scan_cost(32, 3)
 
 
-def _cells_scan(
-    space: DeliberationSpace, stop_below: Fraction | None = None
-) -> tuple[tuple[int, tuple[Fraction, ...]] | None, list[Point], int]:
-    """Incremental sign patterns of the normal arrangement.
+def _cells_route(space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None) -> _Found:
+    """Popular proposal via the incremental sign patterns of the normal arrangement.
 
     Maintains the achievable patterns of (sign <v_1, x>, ..., sign <v_i, x>)
     with signs collapsed to {positive, non-positive}; each pattern carries a
@@ -536,16 +520,13 @@ def _cells_scan(
     extension's certificate names signs on a few positions that no direction
     achieves; later extensions with those signs are decided without an LP.
 
-    Returns ``(pattern, positions, work)``: the first heaviest complete
-    pattern as ``(mask of its positive positions, witness)``, the distinct
-    positions in scan order, and the count of extensions decided.  With
+    The proposal is that of the first heaviest complete pattern, scaled
+    from its witness, and the work counts the extensions decided.  With
     ``stop_below`` the scan answers only whether some pattern is heavier: a
     pattern that cannot outweigh it even with every position not yet placed
-    is dropped before its LP, the first pattern heavier than it is returned
-    at once, and ``None`` means there is none.
+    is dropped before its LP, and the first pattern heavier than it is
+    returned at once.
     """
-    if space.kind is not Kind.EUCLIDEAN:
-        raise ValueError("Euclidean solver called on a non-Euclidean space")
     grouped = distinct_positions(space)
     d = space.dim
     if _cells_scan_cost(len(grouped), d) > _CELLS_SCAN_BUDGET:
@@ -553,6 +534,12 @@ def _cells_scan(
     positions = [pos for pos, _ in grouped]
     weights = [w for _, w in grouped]
     unplaced = sum(weights, _ZERO)
+    if stop_below is not None:  # only the empty pattern weighs 0, and it is no proposal
+        stop_below = max(stop_below, _ZERO)
+
+    def proposal(plus: int, witness: tuple[Fraction, ...]) -> Point:
+        return proposal_from_direction([p for j, p in enumerate(positions) if plus >> j & 1], witness)
+
     work = 0
     # Certificate supports: (positive, non-positive) position masks no direction achieves.
     cores: list[tuple[int, int]] = []
@@ -568,7 +555,7 @@ def _cells_scan(
                 plus, w, w_other = plus | bit, w_other, w
             if stop_below is None or w + unplaced > stop_below:
                 if stop_below is not None and w > stop_below:
-                    return (plus, witness), positions, work
+                    return proposal(plus, witness), work
                 extended.append((plus, w, witness))
             work += 1
             if stop_below is not None and w_other + unplaced <= stop_below:
@@ -580,30 +567,16 @@ def _cells_scan(
             x, y = solve_strict_rows(d, rows)
             if x is not None:
                 if stop_below is not None and w_other > stop_below:
-                    return (other, x), positions, work
+                    return proposal(other, x), work
                 extended.append((other, w_other, x))
             elif y is not None:
                 support = sum(1 << j for j, yj in enumerate(y) if yj)
                 cores.append((support & other, support & ~other))
         patterns = extended
     if stop_below is not None:
-        return None, positions, work
-    best = None
-    for plus, w, witness in patterns:
-        if best is None or w > best[1]:
-            best = (plus, w, witness)
-    return (best[0], best[2]), positions, work
-
-
-def solve_euc_cells(space: DeliberationSpace) -> SolverReport:
-    """Popular proposal via the sign patterns of the normal arrangement
-    (:func:`_cells_scan`); the work counts the extensions decided."""
-    (best_plus, best_witness), positions, work = _cells_scan(space)
-    supported = [p for i, p in enumerate(positions) if best_plus >> i & 1]
-    if not supported:
-        raise AssertionError("no supportable pattern found; spaces are never empty")
-    proposal = proposal_from_direction(supported, best_witness)
-    return _report(space, proposal, Method.EUC_CELLS, work)
+        return None, work
+    plus, _, witness = max(patterns, key=lambda pattern: pattern[1])
+    return proposal(plus, witness), work
 
 
 # ---------------------------------------------------------------------------
@@ -612,40 +585,84 @@ def solve_euc_cells(space: DeliberationSpace) -> SolverReport:
 
 def grid_targets(nonneg: bool) -> tuple[Point, ...]:
     """The unit proposals that dominate every grid proposal's support."""
-    if nonneg:
-        return (grid_point(1, 0), grid_point(0, 1))
-    return (grid_point(1, 0), grid_point(0, 1), grid_point(-1, 0), grid_point(0, -1))
+    targets = (grid_point(1, 0), grid_point(0, 1), grid_point(-1, 0), grid_point(0, -1))
+    return targets[:2] if nonneg else targets
 
 
-def solve_grid_four(space: DeliberationSpace) -> SolverReport:
-    """Popular proposal among the axis unit targets (which is globally popular)."""
-    if space.kind is not Kind.GRID:
-        raise ValueError("grid solver called on a non-grid space")
-    best, best_score = None, None
+def _grid_route(space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None) -> _Found:
+    """The first most approved unit target, which is globally popular: every
+    proposal's approvers are among some target's."""
     targets = grid_targets(space.grid_nonneg)
+    best, best_score = None, stop_below
     for t in targets:
         s = score(space, t)
-        if best is None or s > best_score:
+        if best_score is None or s > best_score:
             best, best_score = t, s
-    return _report(space, best, Method.GRID_FOUR, len(targets))
+    return best, len(targets)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch.
 
+# Per method: the space kind it solves, its route, and its public solver's
+# name.  solve_popular looks the solver up by name when called, so that
+# rebinding the module attribute (as bench/tracing.py does to time and count
+# solves) takes effect.
+_ROUTES = {
+    Method.HYP_BRUTE: (Kind.HYPERCUBE, _brute_route, "solve_hyp_bruteforce"),
+    Method.HYP_TYPE_ILP: (Kind.HYPERCUBE, _type_ilp_route, "solve_hyp_popular_via_ilp"),
+    Method.EUC_SUBSET_LP: (Kind.EUCLIDEAN, _subset_lp_route, "solve_euc_subsets"),
+    Method.EUC_CELLS: (Kind.EUCLIDEAN, _cells_route, "solve_euc_cells"),
+    Method.GRID_FOUR: (Kind.GRID, _grid_route, "solve_grid_four"),
+}
+
 _METHODS = {"auto": None, **{m.value: m for m in Method}}
 
 
-def solve_hyp_popular_via_ilp(
-    space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS
-) -> SolverReport:
-    """Popular proposal by scanning position subsets with the membership ILP."""
-    if space.kind is not Kind.HYPERCUBE:
-        raise ValueError("hypercube solver called on a non-hypercube space")
-    proposal, work = _type_ilp_proposal(space, limits)
+def _check_kind(space: DeliberationSpace, kind: Kind) -> None:
+    if space.kind is not kind:
+        name = "Euclidean" if kind is Kind.EUCLIDEAN else kind.value
+        raise ValueError(f"{name} solver called on a non-{name} space")
+
+
+def _run_route(
+    method: Method, space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None
+) -> _Found:
+    """``(proposal or None, work)`` of ``method``'s route on a space of its kind."""
+    return _ROUTES[method][1](space, limits, stop_below)
+
+
+def _solve(space: DeliberationSpace, method: Method, limits: SolverLimits) -> SolverReport:
+    _check_kind(space, _ROUTES[method][0])
+    proposal, work = _run_route(method, space, limits, None)
     if proposal is None:
-        raise AssertionError("some nonempty support is always feasible (self-approval)")
-    return _report(space, proposal, Method.HYP_TYPE_ILP, work)
+        raise AssertionError("no proposal found; every agent approves its own position")
+    return _report(space, proposal, method, work)
+
+
+def solve_hyp_bruteforce(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
+    """Scan all 2^d - 1 proposals; ties go to the lexicographically smallest."""
+    return _solve(space, Method.HYP_BRUTE, limits)
+
+
+def solve_hyp_popular_via_ilp(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
+    """Popular proposal by scanning position subsets with the membership ILP."""
+    return _solve(space, Method.HYP_TYPE_ILP, limits)
+
+
+def solve_euc_subsets(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
+    """Popular proposal by scanning subsets of distinct positions with LPs."""
+    return _solve(space, Method.EUC_SUBSET_LP, limits)
+
+
+def solve_euc_cells(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
+    """Popular proposal via the sign patterns of the normal arrangement."""
+    return _solve(space, Method.EUC_CELLS, limits)
+
+
+def solve_grid_four(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
+    """Popular proposal among the axis unit targets (which is globally popular)."""
+    return _solve(space, Method.GRID_FOUR, limits)
 
 
 def _auto_method(space: DeliberationSpace) -> Method:
@@ -662,23 +679,18 @@ def score_exceeds(
 ) -> bool:
     """Whether some proposal scores more than ``threshold``.
 
-    Asked on the route ``auto`` takes, so the same guard fires first; a
-    hypercube within the ILP guard, where no guard fires, asks the type ILP.
-    The subset scans and the cells scan stop at the first proposal heavier
-    than the threshold; other hypercubes and grid spaces solve in full.  At a
-    threshold of at least the total weight the answer is no without an LP.
+    Runs the route ``auto`` takes, with ``stop_below=threshold``, so the
+    same guard fires first; a hypercube within the ILP guard, where no guard
+    fires, runs the type ILP.  The subset scans and the cells scan stop at
+    the first proposal heavier than the threshold, and at a threshold of at
+    least the total weight the answer is no without an LP.
     """
     if space.kind is Kind.HYPERCUBE and len(distinct_positions(space)) <= limits.ilp_max_groups:
-        proposal, _ = _type_ilp_proposal(space, limits, stop_below=threshold)
-        return proposal is not None
-    method = _auto_method(space)
-    if method is Method.EUC_CELLS:
-        found, _, _ = _cells_scan(space, stop_below=threshold)
-        return found is not None
-    if method is Method.EUC_SUBSET_LP:
-        proposal, _ = _strict_support_proposal(space.agents, limits, stop_below=threshold)
-        return proposal is not None
-    return solve_popular(space, "auto", limits).best_score > threshold
+        method = Method.HYP_TYPE_ILP
+    else:
+        method = _auto_method(space)
+    proposal, _ = _run_route(method, space, limits, threshold)
+    return proposal is not None
 
 
 def solve_popular(
@@ -688,12 +700,4 @@ def solve_popular(
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     chosen = _METHODS[method] or _auto_method(space)
-    if chosen is Method.HYP_BRUTE:
-        return solve_hyp_bruteforce(space, limits)
-    if chosen is Method.HYP_TYPE_ILP:
-        return solve_hyp_popular_via_ilp(space, limits)
-    if chosen is Method.EUC_SUBSET_LP:
-        return solve_euc_subsets(space, limits)
-    if chosen is Method.EUC_CELLS:
-        return solve_euc_cells(space)
-    return solve_grid_four(space)
+    return globals()[_ROUTES[chosen][2]](space, limits)

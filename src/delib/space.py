@@ -353,14 +353,19 @@ def score(space: DeliberationSpace, proposal: Point) -> Fraction:
     return sum((a.weight for a in space.agents if test(a)), Fraction(0))
 
 
-def distinct_positions(space: DeliberationSpace) -> tuple[tuple[Point, Fraction], ...]:
+def group_positions(agents: Iterable[Agent]) -> tuple[tuple[Point, Fraction], ...]:
     """Group agents by exact position, weights summed, in lexicographic order.
 
     Co-located agents approve identical proposal sets, so solvers work on
     these groups instead of raw agents.
     """
     acc: dict[Point, Fraction] = {}
-    for a in space.agents:
-        acc[a.position] = acc.get(a.position, Fraction(0)) + a.weight
+    for a in agents:
+        p = a.position
+        acc[p] = acc[p] + a.weight if p in acc else a.weight
     return tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
 
+
+def distinct_positions(space: DeliberationSpace) -> tuple[tuple[Point, Fraction], ...]:
+    """The space's agents grouped by :func:`group_positions`."""
+    return group_positions(space.agents)

@@ -299,3 +299,65 @@ def test_simulate_outputs_are_byte_identical(tmp_path):
 
 def test_grid_400_outputs_are_byte_identical(tmp_path):
     assert _digests(build_grid_400_corpus(tmp_path)) == EXPECTED_GRID_400
+
+
+# Random-scheduler dynamics on the grid kinds, whose compromise search tallies
+# the unit targets, and on a weighted Euclidean instance, whose search and
+# ``successful=`` test compare against Fraction weights.  Nine agents on
+# eight positions in R^2.
+WEIGHTED_EUC_2 = [
+    (("3", "1"), "1/2"),
+    (("3", "1"), "2/3"),
+    (("-2", "5/2"), "3/4"),
+    (("1/3", "4"), "5/6"),
+    (("-4", "-1"), "7/5"),
+    (("2", "-3"), "1/3"),
+    (("-1", "-7/2"), "3/2"),
+    (("5/2", "3"), "2/7"),
+    (("-3", "2"), "4/3"),
+]
+
+EXPECTED_RANDOM_K = {
+    "grid-12-random-k2.txt": "c285d535d3415d000f001a2ec7b7b16338242d5368614c94f0a47584aa80f3fc",
+    "grid-12-random-k2.csv": "216173cc9476df56259233aac3b93060ab0e3a7c28ddb78d8e333113e91cbf06",
+    "grid-12-random-k3.txt": "4231c7f3d6c7deda90163f393242ac8e1d1eb001ad59bd7d59228a5be5bb55dc",
+    "grid-12-random-k3.csv": "f15e55d123ade437baf0f19e2004c8346ea33816dd1814aaee0e95d7f9b0bfed",
+    "grid_nonneg-12-random-k2.txt": "3be4faf683003584a49f6b3afa05e86f6afc56d231a35efe2e206c82fadf1f81",
+    "grid_nonneg-12-random-k2.csv": "a151f38868ab62be48e7e1eea355a649a70e1ea27c5eec6ac4362bfc818f8c3a",
+    "grid_nonneg-12-random-k3.txt": "cc25ca0f20f51752aacf56d698b2585272df4eb2750cdc7a1409a265db74a285",
+    "grid_nonneg-12-random-k3.csv": "191b303a374c42a09ca443bab31c870c42d26ab96af33d0ca427925e9ebd1007",
+    "euc-weighted-9-random-k2.txt": "e1f8d43d40571d9066f33720266bdacb291b3513c280edeb128bb9c72b4c98e8",
+    "euc-weighted-9-random-k2.csv": "37c55730f27e261f4eec9f7f75ce6f148a201d1324fcbac4f87514efa2267895",
+    "euc-weighted-9-random-k3.txt": "e5b228222f8ca98c70e96b09304a0dd0ef3b1f91facb7d9bf6de14fe2f362a7e",
+    "euc-weighted-9-random-k3.csv": "8e5897bb0dd78adbc0facfabf0ad7c1a9e8ddaa9023cb7d30fd67ad0129e7213",
+}
+
+
+def build_random_k_corpus(tmp) -> dict[str, bytes]:
+    """``simulate --scheduler random --seed 1`` at k = 2 and 3: summaries and traces."""
+    outputs = {}
+    instances = {}
+    for kind in ("grid", "grid_nonneg"):
+        inst = tmp / f"{kind}-12.json"
+        assert main(["generate", "--family", "random", "--kind", kind, "--n", "12", "--seed", "3",
+                     "--out", str(inst)]) == 0
+        instances[f"{kind}-12"] = inst
+    weighted = tmp / "euc-weighted-9.json"
+    agents = [{"coords": list(coords), "weight": w} for coords, w in WEIGHTED_EUC_2]
+    weighted.write_text(json.dumps({"agents": agents, "d": 2, "kind": "euclidean", "version": 1}))
+    instances["euc-weighted-9"] = weighted
+    for stem, inst in instances.items():
+        for k in (2, 3):
+            name, csv = f"{stem}-random-k{k}", tmp / f"{stem}-random-k{k}.csv"
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["simulate", "--space", str(inst), "--scheduler", "random", "--seed", "1",
+                             "--k", str(k), "--trace", str(csv)])
+            assert code == 0, name
+            outputs[f"{name}.txt"] = out.getvalue().encode()
+            outputs[f"{name}.csv"] = csv.read_bytes()
+    return outputs
+
+
+def test_random_k_outputs_are_byte_identical(tmp_path):
+    assert _digests(build_random_k_corpus(tmp_path)) == EXPECTED_RANDOM_K

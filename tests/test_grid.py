@@ -18,7 +18,7 @@ from delib.dynamics import (
 from delib.generators import gen_random
 from delib.grid import _GridScheduler, _pull_to_core, grid_converge, grid_popular_bruteforce, pull_toward_origin
 from delib.solvers import grid_targets
-from delib.space import Agent, DeliberationSpace, Kind, approves, grid_point, score
+from delib.space import Agent, DeliberationSpace, Kind, approver_indices, approves, grid_point, score
 
 
 def grid_space(points, nonneg=False):
@@ -139,6 +139,24 @@ class TestTargets:
             targets = grid_targets(space.grid_nonneg)
             best_target = max(score(space, t) for t in targets)
             assert best_target == local_window_popular(space), trial
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_every_support_lies_in_a_target_support(self, nonneg):
+        # Exhaustive: agents in [-9, 9]^2 and proposals in [-12, 12]^2 (the
+        # non-negative quadrant of both on the non-negative variant).  The
+        # compromise search tallies only the targets, which is complete
+        # because of this containment.
+        low = 0 if nonneg else -9
+        window = [(x, y) for x in range(low, 10) for y in range(low, 10) if (x, y) != (0, 0)]
+        space = grid_space(window, nonneg=nonneg)
+        targets = [set(approver_indices(space, t)) for t in grid_targets(nonneg)]
+        low = 0 if nonneg else -12
+        for x in range(low, 13):
+            for y in range(low, 13):
+                if (x, y) == (0, 0):
+                    continue
+                support = set(approver_indices(space, grid_point(x, y)))
+                assert any(support <= t for t in targets), (x, y)
 
 
 class TestConverge:

@@ -204,6 +204,20 @@ class TestCli:
         assert run_cli("simulate", "--space", str(hyp), "--scheduler", "greedy-fast") == 4
         assert run_cli("simulate", "--space", str(hyp), "--scheduler", "adversarial") == 4
 
+    @pytest.mark.parametrize("k", ["1", "0", "-2"])
+    def test_two_way_schedulers_reject_k_below_2(self, tmp_path, capsys, k):
+        slow = tmp_path / "slow.json"
+        assert run_cli("generate", "--family", "euc-slow", "--n", "4", "--out", str(slow)) == 0
+        for scheduler in ("adversarial", "greedy-fast"):
+            capsys.readouterr()
+            assert run_cli("simulate", "--space", str(slow), "--scheduler", scheduler, "--k", k) == 4
+            assert capsys.readouterr() == (
+                "", f"error: the {scheduler} scheduler plays 2-compromises; --k must be at least 2\n"
+            )
+        # The random scheduler finds no compromise of fewer than two coalitions.
+        assert run_cli("simulate", "--space", str(slow), "--scheduler", "random", "--k", k) == 0
+        assert capsys.readouterr().out == "steps=0 bound2n=16 lower=-1.33333 successful=no\n"
+
     def test_adversarial_checks_the_agent_count_before_building(self, tmp_path, capsys):
         # A declared n far above the file's 3 agents is rejected without
         # building the 200,000-agent family; so is a small wrong n.
@@ -229,6 +243,26 @@ class TestCli:
         out = tmp_path / "x.json"
         assert run_cli("generate", "--family", "exp-compromise", "--d", "29", "--out", str(out)) == 5
         assert run_cli("generate", "--family", "hyp-slow", "--n", "1", "--out", str(out)) == 5
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--kind", "euclidean", "--d", "0"], "the dimension must be at least 1"),
+            (["--kind", "hypercube", "--d", "0"], "the dimension must be at least 1"),
+            (["--kind", "hypercube", "--d", "-3"], "the dimension must be at least 1"),
+            (["--kind", "euclidean", "--range", "0", "0"], "the coordinate range holds only 0"),
+            (["--kind", "grid", "--range", "0", "0"], "the coordinate range holds only 0"),
+            (["--kind", "grid_nonneg", "--range", "-5", "0"], "the coordinate range holds no positive value"),
+            (["--kind", "grid_nonneg", "--range", "-5", "-1"], "the coordinate range holds no positive value"),
+        ],
+    )
+    def test_generate_random_degenerate(self, tmp_path, capsys, argv, line):
+        # Each of these drew agents forever or failed inside the generator.
+        out = tmp_path / "x.json"
+        start = time.perf_counter()
+        assert run_cli("generate", "--family", "random", "--n", "3", *argv, "--out", str(out)) == 5
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr() == ("", f"error: {line}\n") and not out.exists()
 
     def test_exp_compromise_size_guard(self, tmp_path, capsys, monkeypatch):
         # d=82 would hold 84 coalitions of 4,960,116 agents each; d=55, the

@@ -662,7 +662,7 @@ class TestScoreExceeds:
         )
         popular = solve_popular(space, "auto").best_score
         smallest = min(a.weight for a in space.agents)
-        for s in (popular, popular - smallest, Fraction(0), space.total_weight):
+        for s in (popular, popular - smallest, Fraction(0), -smallest, space.total_weight):
             assert score_exceeds(space, s) == (popular > s)
 
     @pytest.mark.parametrize("d", [2, 4])
@@ -683,7 +683,7 @@ class TestScoreExceeds:
         space = DeliberationSpace(Kind.HYPERCUBE, d, tuple(Agent(hypercube_point(c), w) for c, w in agents))
         popular = solve_popular(space, "auto").best_score
         smallest = min(a.weight for a in space.agents)
-        for s in (popular, popular - smallest, Fraction(0), space.total_weight):
+        for s in (popular, popular - smallest, Fraction(0), -smallest, space.total_weight):
             assert score_exceeds(space, s) == (popular > s)
 
     def test_hypercube_within_the_ilp_guard_skips_the_mask_scan(self, monkeypatch):
