@@ -6,7 +6,8 @@ byte-identical files.
 
 Exit codes: 0 success; 1 verification failure; 2 a requested score
 threshold is unmet; 3 a size guard was exceeded; 4 scheduler incompatible
-with the space; 5 inadmissible generator parameters; 6 input parse failure.
+with the space; 5 inadmissible generator parameters; 6 input parse failure
+or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ def _fail(code: int, message: str) -> int:
 
 def cmd_solve(args) -> int:
     try:
+        eta = None if args.eta is None else Fraction(args.eta)
+    except (ValueError, ZeroDivisionError):
+        return _fail(EXIT_PARSE, f"--eta must be a rational, got {args.eta!r}")
+    try:
         inst = instancefile.load(args.space)
     except (OSError, InstanceFormatError) as exc:
         return _fail(EXIT_PARSE, f"cannot load instance: {exc}")
@@ -63,18 +68,7 @@ def cmd_solve(args) -> int:
         return _fail(EXIT_GUARD, str(exc))
     except ValueError as exc:
         return _fail(EXIT_PARSE, str(exc))
-    print(f"method={report.method.value}")
-    print(f"score={report.best_score}")
-    print(f"proposal={report.best_proposal}")
-    print(f"work={report.work}")
-    eta_met = None
-    if args.eta is not None:
-        try:
-            eta = Fraction(args.eta)
-        except (ValueError, ZeroDivisionError):
-            return _fail(EXIT_PARSE, f"--eta must be a rational, got {args.eta!r}")
-        eta_met = report.best_score >= eta
-        print(f"eta_met={'yes' if eta_met else 'no'}")
+    eta_met = None if eta is None else report.best_score >= eta
     if args.json:
         doc = {
             "method": report.method.value,
@@ -86,8 +80,17 @@ def cmd_solve(args) -> int:
         if eta_met is not None:
             doc["eta"] = args.eta
             doc["eta_met"] = eta_met
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        except OSError as exc:
+            return _fail(EXIT_PARSE, f"cannot write output: {exc}")
+    print(f"method={report.method.value}")
+    print(f"score={report.best_score}")
+    print(f"proposal={report.best_proposal}")
+    print(f"work={report.work}")
+    if eta_met is not None:
+        print(f"eta_met={'yes' if eta_met else 'no'}")
     if eta_met is False:
         return EXIT_ETA_UNMET
     return EXIT_OK
@@ -126,9 +129,9 @@ def cmd_simulate(args) -> int:
     except (OSError, InstanceFormatError) as exc:
         return _fail(EXIT_PARSE, f"cannot load instance: {exc}")
     space = inst.space
-    if args.scheduler in ("adversarial", "greedy-fast") and args.k < 2:
-        message = f"the {args.scheduler} scheduler plays 2-compromises; --k must be at least 2"
-        return _fail(EXIT_BAD_SCHEDULER, message)
+    if args.scheduler != "random" and args.k < 2:
+        plays = "picks its own k (2 or 3)" if args.scheduler == "grid-converge" else "plays 2-compromises"
+        return _fail(EXIT_BAD_SCHEDULER, f"the {args.scheduler} scheduler {plays}; --k must be at least 2")
     if args.scheduler == "random":
         scheduler = RandomScheduler()
     elif args.scheduler == "greedy-fast":
@@ -136,7 +139,10 @@ def cmd_simulate(args) -> int:
             return _fail(EXIT_BAD_SCHEDULER, "greedy-fast runs on Euclidean spaces only")
         scheduler = GreedyFastScheduler()
     elif args.scheduler == "adversarial":
-        family, message = _family_for(inst)
+        try:
+            family, message = _family_for(inst)
+        except GuardExceeded as exc:
+            return _fail(EXIT_GUARD, str(exc))
         if family is None:
             return _fail(EXIT_BAD_SCHEDULER, message)
         scheduler = AdversarialScheduler(family.support_oracle)
@@ -156,8 +162,11 @@ def cmd_simulate(args) -> int:
     except GuardExceeded as exc:
         return _fail(EXIT_GUARD, str(exc))
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace_to_csv(trace))
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write(trace_to_csv(trace))
+        except OSError as exc:
+            return _fail(EXIT_PARSE, f"cannot write output: {exc}")
     try:
         successful = "yes" if reaches_popular(space, trace.final) else "no"
     except GuardExceeded:
@@ -210,7 +219,10 @@ def cmd_generate(args) -> int:
             return _fail(EXIT_BAD_PARAMS, f"unknown family {args.family!r}")
     except (GeneratorError, GuardExceeded) as exc:
         return _fail(EXIT_BAD_PARAMS, str(exc))
-    instancefile.save(inst, args.out)
+    try:
+        instancefile.save(inst, args.out)
+    except OSError as exc:
+        return _fail(EXIT_PARSE, f"cannot write output: {exc}")
     print(f"written={args.out} agents={inst.space.n} d={inst.space.dim}")
     return EXIT_OK
 
@@ -250,10 +262,13 @@ def cmd_reduce(args) -> int:
         return _fail(EXIT_GUARD, str(exc))
     except ValueError as exc:  # GeneratorError, or a malformed number in the input
         return _fail(EXIT_PARSE, str(exc))
-    instancefile.save(Instance(cert.space, None, meta), args.out)
     cert_path = args.cert or (args.out + ".cert.json")
-    with open(cert_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_certificate_document(cert, args.out), sort_keys=True, indent=2) + "\n")
+    try:
+        instancefile.save(Instance(cert.space, None, meta), args.out)
+        with open(cert_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(_certificate_document(cert, args.out), sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        return _fail(EXIT_PARSE, f"cannot write output: {exc}")
     target = "unanimous" if cert.unanimous else f"eta={cert.eta}"
     print(f"written={args.out} cert={cert_path} d={cert.space.dim} agents={cert.space.n} {target}")
     return EXIT_OK

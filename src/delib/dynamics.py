@@ -9,14 +9,14 @@ participating coalition; dissenters stay behind under their old proposals.
 Single-coalition "transitions" are vacuous (strict growth inside a subset of
 one coalition is impossible) and are never searched.
 
-A subset's candidate depends only on the space, the limits and its
-coalitions in structure order, and a transition keeps the surviving
-coalitions in order.  So the random scheduler keeps, for its run, a map from
-each subset of the current structure (as its tuple of coalitions) to the
-candidate's proposal, or None when the subset has none.  The next step
-rebuilds the map for the new structure's subsets: those of survivors only
-are looked up, and only the subsets that contain a new coalition are
-searched.  The map never holds more than the current structure's subsets.
+A subset's candidate depends only on the space and its coalitions in
+structure order, and a transition keeps the surviving coalitions in order.
+So the random scheduler keeps, for its run, a map from each subset of the
+current structure (as its tuple of coalitions) to the candidate's proposal,
+or None when the subset has none.  The next step rebuilds the map for the
+new structure's subsets: those of survivors only are looked up, and only the
+subsets that contain a new coalition are searched.  The map never holds more
+than the current structure's subsets.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import solvers
-from .solvers import DEFAULT_LIMITS, Method, SolverLimits
+from .solvers import Method
 from .space import (
     DeliberationSpace,
     Kind,
@@ -221,9 +221,7 @@ _SEARCH_METHODS = {
 _UNSEEN = object()
 
 
-def _candidate_proposal(
-    space: DeliberationSpace, coalitions: tuple[Coalition, ...], limits: SolverLimits
-) -> Point | None:
+def _candidate_proposal(space: DeliberationSpace, coalitions: tuple[Coalition, ...]) -> Point | None:
     """Proposal of the participating ``coalitions``' canonical candidate.
 
     It is the popular proposal of their agents, found by the kind's search
@@ -234,7 +232,7 @@ def _candidate_proposal(
     agents = tuple(space.agents[i] for c in coalitions for i in c.members)
     union = DeliberationSpace(space.kind, space.dim, agents, space.grid_nonneg)
     heaviest = max(coalition_weight(space, c.members) for c in coalitions)
-    proposal, _ = solvers._run_route(_SEARCH_METHODS[space.kind], union, limits, heaviest)
+    proposal, _ = solvers._run_route(_SEARCH_METHODS[space.kind], union, heaviest)
     return proposal
 
 
@@ -242,7 +240,6 @@ def enumerate_compromises(
     space: DeliberationSpace,
     structure: CoalitionStructure,
     k: int,
-    limits: SolverLimits = DEFAULT_LIMITS,
     known: dict | None = None,
 ) -> list[Transition]:
     """The canonical candidate of every participant subset that admits one.
@@ -252,13 +249,12 @@ def enumerate_compromises(
     participant set, its candidate, whose approvers weigh the most, is one.
     An empty list therefore certifies k-terminality.
 
-    A candidate depends only on the space, the limits and the participating
-    coalitions in structure order.  ``known`` maps such tuples of coalitions
-    to their candidate's proposal (None when there is none), as an earlier
-    call on the same space and limits left it: the subsets it holds are
-    rebuilt at their current indices without a search, and on return it
-    holds exactly this structure's subsets.  Without it every subset is
-    searched.
+    A candidate depends only on the space and the participating coalitions
+    in structure order.  ``known`` maps such tuples of coalitions to their
+    candidate's proposal (None when there is none), as an earlier call on
+    the same space left it: the subsets it holds are rebuilt at their
+    current indices without a search, and on return it holds exactly this
+    structure's subsets.  Without it every subset is searched.
     """
     known = {} if known is None else known
     out = []
@@ -269,7 +265,7 @@ def enumerate_compromises(
             key = tuple(structure.coalitions[j] for j in subset)
             proposal = known.get(key, _UNSEEN)
             if proposal is _UNSEEN:
-                proposal = _candidate_proposal(space, key, limits)
+                proposal = _candidate_proposal(space, key)
             current[key] = proposal
             if proposal is not None:
                 out.append(Transition(subset, proposal))
@@ -298,8 +294,7 @@ class RandomScheduler(Scheduler):
     name = "random"
     complete = True
 
-    def __init__(self, limits: SolverLimits = DEFAULT_LIMITS):
-        self.limits = limits
+    def __init__(self):
         self.space, self.known = None, {}
 
     def __call__(self, space, structure, k, rng):
@@ -307,7 +302,7 @@ class RandomScheduler(Scheduler):
         # that survived into this one; valid while the space stays the same.
         if space is not self.space:
             self.space, self.known = space, {}
-        options = enumerate_compromises(space, structure, k, self.limits, self.known)
+        options = enumerate_compromises(space, structure, k, self.known)
         if not options:
             return None
         return options[rng.randrange(len(options))]
@@ -375,9 +370,6 @@ class GreedyFastScheduler(Scheduler):
     name = "greedy-fast"
     complete = False
 
-    def __init__(self, limits: SolverLimits = DEFAULT_LIMITS):
-        self.limits = limits
-
     def __call__(self, space, structure, k, rng):
         if space.kind is not Kind.EUCLIDEAN:
             raise DynamicsError("the greedy-fast scheduler requires a Euclidean space")
@@ -403,7 +395,7 @@ class GreedyFastScheduler(Scheduler):
                 return Transition((top, j), p)
         # (iii) two coalitions: aim straight at a popular proposal
         if m == 2:
-            report = solvers.solve_popular(space, "auto", self.limits)
+            report = solvers.solve_popular(space, "auto")
             t = Transition((0, 1), report.best_proposal)
             new_members, _ = validate_transition(space, structure, t, k=2)
             if new_members:
@@ -533,9 +525,7 @@ def is_successful(
     return False
 
 
-def reaches_popular(
-    space: DeliberationSpace, structure: CoalitionStructure, limits: SolverLimits = DEFAULT_LIMITS
-) -> bool:
+def reaches_popular(space: DeliberationSpace, structure: CoalitionStructure) -> bool:
     """:func:`is_successful` without computing the popular score.
 
     On a valid structure every member approves its coalition's proposal,
@@ -548,4 +538,4 @@ def reaches_popular(
     ``solve_popular(space, "auto")`` would.
     """
     heaviest = max(coalition_weight(space, c.members) for c in structure.coalitions)
-    return not solvers.score_exceeds(space, heaviest, limits)
+    return not solvers.score_exceeds(space, heaviest)

@@ -48,8 +48,23 @@ class SlowFamilyInstance:
     n: int
 
 
+def _check_coordinates(what: str, n_agents: int, base: str, d: int, limit: int) -> None:
+    """Refuse a ``what`` of ``n_agents`` agents in ``base``^``d`` past ``limit`` coordinates."""
+    if d * n_agents > limit:
+        raise GuardExceeded(
+            f"the {what} would hold {d * n_agents} coordinates ({n_agents} agents in {base}^{d}), "
+            f"over the {what} guard ({limit})"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Slow-convergence families.
+
+# The most coordinates a slow family may hold, as its file writes every one.
+# At the largest accepted sizes, on 2 vCPUs, `generate` took 0.95-1.00 s and
+# an 87 MB peak to write euc-slow n = 1,000 (1,000,000 coordinates, 13 MB),
+# and 1.32-1.45 s and 24 MB for hyp-slow n = 707 (999,698 coordinates, 11 MB).
+_SLOW_MAX_COORDINATES = 1_000_000
 
 
 def gen_hyp_slow(n: int) -> SlowFamilyInstance:
@@ -59,6 +74,7 @@ def gen_hyp_slow(n: int) -> SlowFamilyInstance:
     if n < 2:
         raise GeneratorError("the hypercube slow family needs n >= 2")
     d = 2 * n
+    _check_coordinates("hyp-slow family", n, "{0,1}", d, _SLOW_MAX_COORDINATES)
     half = d // 2
     agents = []
     for i in range(n):
@@ -87,6 +103,7 @@ def gen_euc_slow(n: int) -> SlowFamilyInstance:
     by the proposal with 1/|S| on the coordinates of S."""
     if n < 1:
         raise GeneratorError("the Euclidean slow family needs n >= 1")
+    _check_coordinates("euc-slow family", n, "R", n, _SLOW_MAX_COORDINATES)
     units = [(i, 1) for i in range(n)]  # (index, numerator) pairs shared by every point
     agents = tuple(Agent(Point(Kind.EUCLIDEAN, n, (1, (units[i],)))) for i in range(n))
     space = DeliberationSpace(Kind.EUCLIDEAN, n, agents)
@@ -424,15 +441,6 @@ def _characteristic_agent(d: int, rhs_dims: Sequence[int]) -> Agent:
 _IS_MAX_COORDINATES = 1_000_000
 
 
-def _check_reduction_size(n_agents: int, base: str, d: int, limit: int) -> None:
-    """Refuse a reduction of ``n_agents`` agents in ``base``^``d`` past ``limit`` coordinates."""
-    if d * n_agents > limit:
-        raise GuardExceeded(
-            f"the reduction would hold {d * n_agents} coordinates ({n_agents} agents in {base}^{d}), "
-            f"over the reduction guard ({limit})"
-        )
-
-
 def reduce_is_to_hyp(num_vertices: int, edges: Sequence[tuple[int, int]], kappa: int) -> ReductionCertificate:
     """Independent-set instance (kappa sought) to a hypercube unanimity instance.
 
@@ -457,7 +465,7 @@ def reduce_is_to_hyp(num_vertices: int, edges: Sequence[tuple[int, int]], kappa:
     d = 2 * m + 2 * kappa - 1
     # Two agents per auxiliary dimension, four per vertex, one per edge (kappa >= 2), one for the size.
     n_agents = 2 * (2 * kappa - 1) + 4 * m + (len(edge_set) if kappa >= 2 else 0) + 1
-    _check_reduction_size(n_agents, "{0,1}", d, _IS_MAX_COORDINATES)
+    _check_coordinates("reduction", n_agents, "{0,1}", d, _IS_MAX_COORDINATES)
     x = list(range(m))  # x_i at dimension i-1
     xp = [m + i for i in range(m)]  # x_i' at dimension m+i-1
     aux = list(range(2 * m, d))  # alpha_0, alpha_1, alpha_1', ...
@@ -538,7 +546,7 @@ def reduce_3sat_to_euc(num_vars: int, clauses: Sequence[Sequence[int]]) -> Reduc
             raise GeneratorError(f"clause {cl!r} references an unknown variable")
     d = 2 * m
     n_clauses = len(clauses)
-    _check_reduction_size(3 * m + n_clauses, "R", d, _SAT_MAX_COORDINATES)
+    _check_coordinates("reduction", 3 * m + n_clauses, "R", d, _SAT_MAX_COORDINATES)
     lit_weight = Fraction(n_clauses + 1)
     anchor_weight = Fraction(2 * m) * lit_weight + 1
     eta = m * anchor_weight + m * lit_weight + n_clauses

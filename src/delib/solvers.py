@@ -1,6 +1,6 @@
 """Popular-proposal solvers, one route per method.
 
-Each :class:`Method` has one private route ``(space, limits, stop_below) ->
+Each :class:`Method` has one private route ``(space, stop_below) ->
 (proposal or None, work)``: the proposal the agents approve most, or None
 when its score does not exceed ``stop_below``.  The public ``solve_*``
 solvers check the space's kind and run their route in full, reporting a
@@ -53,37 +53,7 @@ _ZERO = Fraction(0)
 
 
 class GuardExceeded(RuntimeError):
-    """An exponential search would exceed its configured guard."""
-
-
-_GUARD_MESSAGES = {
-    "hyp_brute_max_dim": "brute force over 2^{size} proposals exceeds the guard (d <= {limit})",
-    "ilp_max_groups": "{size} distinct positions exceed the ILP guard ({limit})",
-    "subset_max_groups": "{size} distinct positions exceed the subset guard ({limit})",
-}
-
-
-@dataclass(frozen=True)
-class SolverLimits:
-    """Size guards; exceeding one raises :class:`GuardExceeded`."""
-
-    # At d = 26 on a 2-vCPU x86 machine, brute force over 8 random agents
-    # takes 0.25 s in the mask scan.  When no proposal is unanimous, the
-    # unanimity scan takes 0.01-0.03 s on two antipodal agents at d = 26,
-    # and 0.10-0.16 s at d = 25 on the kappa 4 independent-set reduction of
-    # three disjoint triangles (37 distinct positions).
-    hyp_brute_max_dim: int = 26
-    ilp_max_groups: int = 10
-    subset_max_groups: int = 22
-
-    def check(self, guard: str, size: int) -> None:
-        """Raise :class:`GuardExceeded` when ``size`` exceeds the field named ``guard``."""
-        limit = getattr(self, guard)
-        if size > limit:
-            raise GuardExceeded(_GUARD_MESSAGES[guard].format(size=size, limit=limit))
-
-
-DEFAULT_LIMITS = SolverLimits()
+    """An exponential search would exceed its size guard."""
 
 
 class Method(enum.Enum):
@@ -222,10 +192,15 @@ def _heaviest_mask(groups: Sequence[tuple[int, Fraction]], d: int) -> tuple[int,
     return best_mask, Fraction(best_value, scale)
 
 
-def _brute_route(space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None) -> _Found:
+def _check_brute_dim(d: int) -> None:
+    if d > _HYP_BRUTE_MAX_DIM:
+        raise GuardExceeded(f"brute force over 2^{d} proposals exceeds the guard (d <= {_HYP_BRUTE_MAX_DIM})")
+
+
+def _brute_route(space: DeliberationSpace, stop_below: Fraction | None) -> _Found:
     """The mask scan over all 2^d - 1 proposals; ties go to the
     lexicographically smallest."""
-    limits.check("hyp_brute_max_dim", space.dim)
+    _check_brute_dim(space.dim)
     best_mask, best_weight = _heaviest_mask([(pos.data, w) for pos, w in distinct_positions(space)], space.dim)
     work = (1 << space.dim) - 1
     if stop_below is not None and best_weight <= stop_below:
@@ -233,9 +208,7 @@ def _brute_route(space: DeliberationSpace, limits: SolverLimits, stop_below: Fra
     return hypercube_point(best_mask, space.dim), work
 
 
-def hyp_unanimous_proposal(
-    space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS
-) -> Point | None:
+def hyp_unanimous_proposal(space: DeliberationSpace) -> Point | None:
     """First proposal approved by every agent, in increasing mask order.
 
     The scan is chunked like :func:`_heaviest_mask`: for each chunk ``h`` the
@@ -245,7 +218,7 @@ def hyp_unanimous_proposal(
     """
     _check_kind(space, Kind.HYPERCUBE)
     d = space.dim
-    limits.check("hyp_brute_max_dim", d)
+    _check_brute_dim(d)
     width, positions = _chunked_positions((pos.data for pos, _ in distinct_positions(space)), d)
     everything = (1 << (1 << width)) - 1
     for h in range(1 << (d - width)):
@@ -395,10 +368,11 @@ def _heaviest_feasible(
     return None, work
 
 
-def _type_ilp_route(space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None) -> _Found:
+def _type_ilp_route(space: DeliberationSpace, stop_below: Fraction | None) -> _Found:
     """``(proposal or None, work)`` of the heaviest position subset the membership ILP admits."""
     grouped = distinct_positions(space)
-    limits.check("ilp_max_groups", len(grouped))
+    if len(grouped) > _ILP_MAX_GROUPS:
+        raise GuardExceeded(f"{len(grouped)} distinct positions exceed the ILP guard ({_ILP_MAX_GROUPS})")
     by_type = _type_dimensions(space, [pos for pos, _ in grouped])
     types = sorted((sig, len(dims)) for sig, dims in by_type.items())
     weights = [w for _, w in grouped]
@@ -461,11 +435,12 @@ def _perfect_proposal(agents: Sequence[Agent]) -> Point | None:
     return proposal_from_direction(positions, x)
 
 
-def _subset_lp_route(space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None) -> _Found:
+def _subset_lp_route(space: DeliberationSpace, stop_below: Fraction | None) -> _Found:
     """The proposal of the heaviest strict support among the distinct
     positions (:func:`best_strict_support`)."""
     grouped = distinct_positions(space)
-    limits.check("subset_max_groups", len(grouped))
+    if len(grouped) > _SUBSET_MAX_GROUPS:
+        raise GuardExceeded(f"{len(grouped)} distinct positions exceed the subset guard ({_SUBSET_MAX_GROUPS})")
     positions = [pos for pos, _ in grouped]
     found, work = best_strict_support(positions, [w for _, w in grouped], stop_below)
     if found is None:
@@ -508,8 +483,17 @@ def _cells_scan_cost(n: int, d: int) -> int:
 # and 40 took 7.6-10.2 s.
 _CELLS_SCAN_BUDGET = _cells_scan_cost(32, 3)
 
+# The other guards.  At d = 26 on a 2-vCPU x86 machine, brute force over 8
+# random agents takes 0.25 s in the mask scan.  When no proposal is
+# unanimous, the unanimity scan takes 0.01-0.03 s on two antipodal agents at
+# d = 26, and 0.10-0.16 s at d = 25 on the kappa 4 independent-set reduction
+# of three disjoint triangles (37 distinct positions).
+_HYP_BRUTE_MAX_DIM = 26
+_ILP_MAX_GROUPS = 10
+_SUBSET_MAX_GROUPS = 22
 
-def _cells_route(space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None) -> _Found:
+
+def _cells_route(space: DeliberationSpace, stop_below: Fraction | None) -> _Found:
     """Popular proposal via the incremental sign patterns of the normal arrangement.
 
     Maintains the achievable patterns of (sign <v_1, x>, ..., sign <v_i, x>)
@@ -589,7 +573,7 @@ def grid_targets(nonneg: bool) -> tuple[Point, ...]:
     return targets[:2] if nonneg else targets
 
 
-def _grid_route(space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None) -> _Found:
+def _grid_route(space: DeliberationSpace, stop_below: Fraction | None) -> _Found:
     """The first most approved unit target, which is globally popular: every
     proposal's approvers are among some target's."""
     targets = grid_targets(space.grid_nonneg)
@@ -625,44 +609,42 @@ def _check_kind(space: DeliberationSpace, kind: Kind) -> None:
         raise ValueError(f"{name} solver called on a non-{name} space")
 
 
-def _run_route(
-    method: Method, space: DeliberationSpace, limits: SolverLimits, stop_below: Fraction | None
-) -> _Found:
+def _run_route(method: Method, space: DeliberationSpace, stop_below: Fraction | None) -> _Found:
     """``(proposal or None, work)`` of ``method``'s route on a space of its kind."""
-    return _ROUTES[method][1](space, limits, stop_below)
+    return _ROUTES[method][1](space, stop_below)
 
 
-def _solve(space: DeliberationSpace, method: Method, limits: SolverLimits) -> SolverReport:
+def _solve(space: DeliberationSpace, method: Method) -> SolverReport:
     _check_kind(space, _ROUTES[method][0])
-    proposal, work = _run_route(method, space, limits, None)
+    proposal, work = _run_route(method, space, None)
     if proposal is None:
         raise AssertionError("no proposal found; every agent approves its own position")
     return _report(space, proposal, method, work)
 
 
-def solve_hyp_bruteforce(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
+def solve_hyp_bruteforce(space: DeliberationSpace) -> SolverReport:
     """Scan all 2^d - 1 proposals; ties go to the lexicographically smallest."""
-    return _solve(space, Method.HYP_BRUTE, limits)
+    return _solve(space, Method.HYP_BRUTE)
 
 
-def solve_hyp_popular_via_ilp(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
+def solve_hyp_popular_via_ilp(space: DeliberationSpace) -> SolverReport:
     """Popular proposal by scanning position subsets with the membership ILP."""
-    return _solve(space, Method.HYP_TYPE_ILP, limits)
+    return _solve(space, Method.HYP_TYPE_ILP)
 
 
-def solve_euc_subsets(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
+def solve_euc_subsets(space: DeliberationSpace) -> SolverReport:
     """Popular proposal by scanning subsets of distinct positions with LPs."""
-    return _solve(space, Method.EUC_SUBSET_LP, limits)
+    return _solve(space, Method.EUC_SUBSET_LP)
 
 
-def solve_euc_cells(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
+def solve_euc_cells(space: DeliberationSpace) -> SolverReport:
     """Popular proposal via the sign patterns of the normal arrangement."""
-    return _solve(space, Method.EUC_CELLS, limits)
+    return _solve(space, Method.EUC_CELLS)
 
 
-def solve_grid_four(space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS) -> SolverReport:
+def solve_grid_four(space: DeliberationSpace) -> SolverReport:
     """Popular proposal among the axis unit targets (which is globally popular)."""
-    return _solve(space, Method.GRID_FOUR, limits)
+    return _solve(space, Method.GRID_FOUR)
 
 
 def _auto_method(space: DeliberationSpace) -> Method:
@@ -674,9 +656,7 @@ def _auto_method(space: DeliberationSpace) -> Method:
     return Method.GRID_FOUR
 
 
-def score_exceeds(
-    space: DeliberationSpace, threshold: Fraction, limits: SolverLimits = DEFAULT_LIMITS
-) -> bool:
+def score_exceeds(space: DeliberationSpace, threshold: Fraction) -> bool:
     """Whether some proposal scores more than ``threshold``.
 
     Runs the route ``auto`` takes, with ``stop_below=threshold``, so the
@@ -685,19 +665,17 @@ def score_exceeds(
     the first proposal heavier than the threshold, and at a threshold of at
     least the total weight the answer is no without an LP.
     """
-    if space.kind is Kind.HYPERCUBE and len(distinct_positions(space)) <= limits.ilp_max_groups:
+    if space.kind is Kind.HYPERCUBE and len(distinct_positions(space)) <= _ILP_MAX_GROUPS:
         method = Method.HYP_TYPE_ILP
     else:
         method = _auto_method(space)
-    proposal, _ = _run_route(method, space, limits, threshold)
+    proposal, _ = _run_route(method, space, threshold)
     return proposal is not None
 
 
-def solve_popular(
-    space: DeliberationSpace, method: str = "auto", limits: SolverLimits = DEFAULT_LIMITS
-) -> SolverReport:
+def solve_popular(space: DeliberationSpace, method: str = "auto") -> SolverReport:
     """Dispatch to a solver; ``auto`` picks by kind and instance size."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     chosen = _METHODS[method] or _auto_method(space)
-    return globals()[_ROUTES[chosen][2]](space, limits)
+    return globals()[_ROUTES[chosen][2]](space)

@@ -30,7 +30,7 @@ from delib.dynamics import (
 from delib import dynamics
 from delib.generators import gen_euc_slow, gen_hyp_slow, gen_random
 from delib.grid import grid_converge
-from delib.solvers import GuardExceeded, SolverLimits, solve_euc_subsets, solve_popular
+from delib.solvers import GuardExceeded, solve_euc_subsets, solve_popular
 from delib.space import (
     Agent,
     DeliberationSpace,
@@ -297,31 +297,29 @@ class TestFindKCompromise:
 
     def test_hypercube_guard(self):
         # Both agents approve the all-ones proposal, so at the limit the pair merges.
-        limits = SolverLimits(hyp_brute_max_dim=6)
-        for d in (6, 7):
+        for d in (26, 27):
             agents = (Agent(hypercube_point([1] * d)), Agent(hypercube_point([1] * (d - 1) + [0])))
             space = DeliberationSpace(Kind.HYPERCUBE, d, agents)
-            if d > 6:
-                with pytest.raises(GuardExceeded, match=r"^brute force over 2\^7 proposals exceeds the guard \(d <= 6\)$"):
-                    enumerate_compromises(space, singleton_structure(space), 2, limits=limits)
+            if d > 26:
+                with pytest.raises(GuardExceeded, match=r"^brute force over 2\^27 proposals exceeds the guard \(d <= 26\)$"):
+                    enumerate_compromises(space, singleton_structure(space), 2)
             else:
-                assert enumerate_compromises(space, singleton_structure(space), 2, limits=limits)
+                assert enumerate_compromises(space, singleton_structure(space), 2)
 
     def test_euclidean_guard(self):
         # Every agent at (1, y) approves (1, 0), so two coalitions can hold
         # any number of distinct positions; their union is what the guard counts.
-        limits = SolverLimits(subset_max_groups=5)
-        for count in (5, 6):
+        for count in (22, 23):
             space = euc_space([[1, y] for y in range(count)])
             structure = structure_of(
-                space, [(range(3), euclidean_point([1, 0])), (range(3, count), euclidean_point([1, 0]))]
+                space, [(range(12), euclidean_point([1, 0])), (range(12, count), euclidean_point([1, 0]))]
             )
-            if count > 5:
-                with pytest.raises(GuardExceeded, match=r"^6 distinct positions exceed the subset guard \(5\)$"):
-                    enumerate_compromises(space, structure, 2, limits=limits)
+            if count > 22:
+                with pytest.raises(GuardExceeded, match=r"^23 distinct positions exceed the subset guard \(22\)$"):
+                    enumerate_compromises(space, structure, 2)
             else:
-                found = enumerate_compromises(space, structure, 2, limits=limits)
-                assert found and len(new_coalition(space, structure, found[0])) == 5
+                found = enumerate_compromises(space, structure, 2)
+                assert found and len(new_coalition(space, structure, found[0])) == 22
 
 
 class TestAdversarialScheduler:

@@ -21,7 +21,7 @@ from delib.generators import (
     verify_exp_compromise,
 )
 from delib.dynamics import Transition, coalition_weight, validate_transition
-from delib.solvers import hyp_unanimous_proposal, solve_euc_subsets
+from delib.solvers import GuardExceeded, hyp_unanimous_proposal, solve_euc_subsets
 from delib.space import Agent, Point, approver_indices, distance, distinct_positions
 
 
@@ -85,6 +85,22 @@ class TestSlowFamilies:
             gen_hyp_slow(1)
         with pytest.raises(GeneratorError):
             gen_euc_slow(0)
+
+    def test_size_guard(self):
+        # Files write every coordinate: n x n for euc-slow, n x 2n for
+        # hyp-slow, up to 1,000,000.
+        assert gen_euc_slow(1000).space.n == 1000
+        assert gen_hyp_slow(707).space.dim == 1414
+        with pytest.raises(GuardExceeded, match=(
+            r"^the euc-slow family would hold 1002001 coordinates \(1001 agents in R\^1001\), "
+            r"over the euc-slow family guard \(1000000\)$"
+        )):
+            gen_euc_slow(1001)
+        with pytest.raises(GuardExceeded, match=(
+            r"^the hyp-slow family would hold 1002528 coordinates \(708 agents in \{0,1\}\^1416\), "
+            r"over the hyp-slow family guard \(1000000\)$"
+        )):
+            gen_hyp_slow(708)
 
 
 class TestExpCompromise:

@@ -160,6 +160,52 @@ class TestCli:
         ) == 0
         assert run_cli("solve", "--space", str(path), "--method", "brute") == 3
 
+    @pytest.mark.parametrize(
+        "generate, method, line",
+        [
+            (["--family", "random", "--kind", "hypercube", "--n", "3", "--d", "27", "--seed", "1"], "brute",
+             "brute force over 2^27 proposals exceeds the guard (d <= 26)"),
+            (["--family", "random", "--kind", "hypercube", "--n", "11", "--d", "12", "--seed", "1"], "ilp",
+             "11 distinct positions exceed the ILP guard (10)"),
+            (["--family", "euc-slow", "--n", "23"], "subset-lp",
+             "23 distinct positions exceed the subset guard (22)"),
+        ],
+    )
+    def test_solve_guard_lines(self, tmp_path, capsys, generate, method, line):
+        # One past each solver guard: exit 3 and one line, before any search.
+        path = tmp_path / "past.json"
+        assert run_cli("generate", *generate, "--out", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli("solve", "--space", str(path), "--method", method) == 3
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
+    def test_eta_parsed_before_solving(self, tmp_path, capsys):
+        path = tmp_path / "euc.json"
+        assert run_cli("generate", "--family", "euc-slow", "--n", "3", "--out", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli("solve", "--space", str(path), "--eta", "abc") == 6
+        assert capsys.readouterr() == ("", "error: --eta must be a rational, got 'abc'\n")
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "generate", "reduce-out", "reduce-cert"])
+    def test_unwritable_output_exits_6(self, tmp_path, capsys, command):
+        euc, cnf = tmp_path / "euc.json", tmp_path / "f.cnf"
+        assert run_cli("generate", "--family", "euc-slow", "--n", "3", "--out", str(euc)) == 0
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        bad = str(tmp_path / "missing" / "out")
+        argv = {
+            "solve": ["solve", "--space", str(euc), "--json", bad],
+            "simulate": ["simulate", "--space", str(euc), "--scheduler", "adversarial", "--trace", bad],
+            "generate": ["generate", "--family", "euc-slow", "--n", "3", "--out", bad],
+            "reduce-out": ["reduce", "--from", "3sat", "--in", str(cnf), "--out", bad],
+            "reduce-cert": ["reduce", "--from", "3sat", "--in", str(cnf), "--out", str(tmp_path / "r.json"),
+                            "--cert", bad],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv) == 6
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert bad in err
+
     def test_cells_guard_exit(self, tmp_path, capsys):
         path = tmp_path / "axis.json"
         for d, code in ((1, 0), (3, 3)):
@@ -217,6 +263,38 @@ class TestCli:
         # The random scheduler finds no compromise of fewer than two coalitions.
         assert run_cli("simulate", "--space", str(slow), "--scheduler", "random", "--k", k) == 0
         assert capsys.readouterr().out == "steps=0 bound2n=16 lower=-1.33333 successful=no\n"
+
+    @pytest.mark.parametrize("k", ["1", "0"])
+    def test_grid_converge_rejects_k_below_2(self, tmp_path, capsys, k):
+        grid = tmp_path / "g.json"
+        assert run_cli("generate", "--family", "random", "--kind", "grid", "--n", "12", "--seed", "3",
+                       "--out", str(grid)) == 0
+        capsys.readouterr()
+        assert run_cli("simulate", "--space", str(grid), "--scheduler", "grid-converge", "--k", k) == 4
+        assert capsys.readouterr() == (
+            "", "error: the grid-converge scheduler picks its own k (2 or 3); --k must be at least 2\n"
+        )
+
+    def test_slow_family_size_guard(self, tmp_path, capsys):
+        # One past each slow family's 1,000,000 coordinates: generate exits
+        # 5, and an adversarial run on a hand-made file declaring such a
+        # family exits 3, before either builds it.
+        out = tmp_path / "x.json"
+        lines = {
+            "euc-slow": "the euc-slow family would hold 1002001 coordinates (1001 agents in R^1001), "
+                        "over the euc-slow family guard (1000000)",
+            "hyp-slow": "the hyp-slow family would hold 1002528 coordinates (708 agents in {0,1}^1416), "
+                        "over the hyp-slow family guard (1000000)",
+        }
+        for family, n in (("euc-slow", 1001), ("hyp-slow", 708)):
+            capsys.readouterr()
+            assert run_cli("generate", "--family", family, "--n", str(n), "--out", str(out)) == 5
+            assert capsys.readouterr() == ("", f"error: {lines[family]}\n") and not out.exists()
+            space = DeliberationSpace(Kind.EUCLIDEAN, 1, (Agent(euclidean_point([1])),) * n)
+            hand_made = tmp_path / f"{family}.json"
+            instancefile.save(Instance(space, None, {"family": family, "n": n}), str(hand_made))
+            assert run_cli("simulate", "--space", str(hand_made), "--scheduler", "adversarial") == 3
+            assert capsys.readouterr() == ("", f"error: {lines[family]}\n")
 
     def test_adversarial_checks_the_agent_count_before_building(self, tmp_path, capsys):
         # A declared n far above the file's 3 agents is rejected without

@@ -17,10 +17,8 @@ from delib import solvers
 from delib.generators import gen_euc_slow, gen_hyp_slow, gen_random, reduce_3sat_to_euc, reduce_is_to_hyp
 from delib.linprog import solve_strict_rows
 from delib.solvers import (
-    DEFAULT_LIMITS,
     GuardExceeded,
     Method,
-    SolverLimits,
     best_strict_support,
     hyp_unanimous_proposal,
     solve_euc_cells,
@@ -137,18 +135,16 @@ class TestHypBruteforce:
         assert report.best_proposal.coords() == (0, 1)
 
     def test_guard(self):
-        limits = SolverLimits(hyp_brute_max_dim=6)
-        assert solve_hyp_bruteforce(hyp_space([[1] + [0] * 5]), limits).best_score == 1
-        with pytest.raises(GuardExceeded, match=r"^brute force over 2\^7 proposals exceeds the guard \(d <= 6\)$"):
-            solve_hyp_bruteforce(hyp_space([[1] + [0] * 6]), limits)
+        assert solve_hyp_bruteforce(hyp_space([[1] + [0] * 25])).best_score == 1
+        with pytest.raises(GuardExceeded, match=r"^brute force over 2\^27 proposals exceeds the guard \(d <= 26\)$"):
+            solve_hyp_bruteforce(hyp_space([[1] + [0] * 26]))
         with pytest.raises(GuardExceeded, match=r"^brute force over 2\^30 proposals exceeds the guard \(d <= 26\)$"):
             solve_hyp_bruteforce(hyp_space([[1] + [0] * 29]))
 
     def test_unanimity_guard(self):
-        limits = SolverLimits(hyp_brute_max_dim=6)
-        assert hyp_unanimous_proposal(hyp_space([[1] + [0] * 5]), limits) is not None
-        with pytest.raises(GuardExceeded, match=r"^brute force over 2\^7 proposals exceeds the guard \(d <= 6\)$"):
-            hyp_unanimous_proposal(hyp_space([[1] + [0] * 6]), limits)
+        assert hyp_unanimous_proposal(hyp_space([[1] + [0] * 25])) is not None
+        with pytest.raises(GuardExceeded, match=r"^brute force over 2\^27 proposals exceeds the guard \(d <= 26\)$"):
+            hyp_unanimous_proposal(hyp_space([[1] + [0] * 26]))
 
     def test_report_consistency(self):
         space = gen_hyp_slow(3).space
@@ -210,14 +206,12 @@ class TestMaskScan:
         assert solvers._heaviest_mask([top, one], 14) == (1, 1)
 
 
-def reference_unanimous_proposal(
-    space: DeliberationSpace, limits: SolverLimits = DEFAULT_LIMITS
-) -> Point | None:
+def reference_unanimous_proposal(space: DeliberationSpace) -> Point | None:
     """The scalar loop that ``solvers.hyp_unanimous_proposal`` replaced, kept
-    verbatim as the reference for the chunked scan."""
+    as the reference for the chunked scan; its callers stay far below the
+    brute-force guard, so it has none."""
     if space.kind is not Kind.HYPERCUBE:
         raise ValueError("hypercube solver called on a non-hypercube space")
-    limits.check("hyp_brute_max_dim", space.dim)
     masks = [pos.data for pos, _ in distinct_positions(space)]
     for mask in range(1, 1 << space.dim):
         size = mask.bit_count()
@@ -400,10 +394,9 @@ class TestEucSubsets:
         assert report.best_score == 2
 
     def test_guard(self):
-        limits = SolverLimits(subset_max_groups=4)
-        assert solve_euc_subsets(gen_euc_slow(4).space, limits).best_score == 4
-        with pytest.raises(GuardExceeded, match=r"^5 distinct positions exceed the subset guard \(4\)$"):
-            solve_euc_subsets(gen_euc_slow(5).space, limits)
+        assert solve_euc_subsets(gen_euc_slow(22).space).best_score == 22
+        with pytest.raises(GuardExceeded, match=r"^23 distinct positions exceed the subset guard \(22\)$"):
+            solve_euc_subsets(gen_euc_slow(23).space)
 
 
 class TestEucCells:
