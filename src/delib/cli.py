@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import generators, instancefile, solvers
 from .dynamics import (
@@ -34,7 +33,7 @@ from .generators import GeneratorError
 from .grid import grid_converge
 from .instancefile import Instance, InstanceFormatError
 from .solvers import GuardExceeded
-from .space import Kind
+from .space import Kind, rational
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -55,7 +54,9 @@ def _fail(code: int, message: str) -> int:
 
 def cmd_solve(args) -> int:
     try:
-        eta = None if args.eta is None else Fraction(args.eta)
+        eta = None if args.eta is None else rational(args.eta)
+    except OverflowError as exc:
+        return _fail(EXIT_PARSE, f"--eta {exc}")
     except (ValueError, ZeroDivisionError):
         return _fail(EXIT_PARSE, f"--eta must be a rational, got {args.eta!r}")
     try:
@@ -390,7 +391,7 @@ def _verify_reduction(args) -> int:
     source = cert.get("source", {})
     try:
         if cert.get("problem") == "3sat":
-            eta = Fraction(cert["eta"])
+            eta = rational(cert["eta"])
             report = solvers.solve_euc_subsets(inst.space)
             reached = report.best_score >= eta
             print(f"score>=eta: {'yes' if reached else 'no'}")
@@ -410,7 +411,7 @@ def _verify_reduction(args) -> int:
             return _fail(EXIT_PARSE, f"unknown certificate problem {cert.get('problem')!r}")
     except GuardExceeded as exc:
         return _fail(EXIT_GUARD, str(exc))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         return _fail(EXIT_PARSE, f"malformed certificate: {exc!r}")
     if reached != expected:
         print("first_violation=biconditional")

@@ -35,7 +35,7 @@ from .dynamics import (
     validate_structure,
 )
 from .solvers import grid_targets, solve_grid_four
-from .space import DeliberationSpace, Kind, Point, approval_test, grid_point, score
+from .space import DeliberationSpace, Kind, Point, approval_test, grid_point
 
 
 def _sign(v: int) -> int:
@@ -77,29 +77,6 @@ def _canonical_target(space: DeliberationSpace, coalition: Coalition, targets: t
         if all(test(space.agents[i]) for i in coalition.members):
             return t
     raise DynamicsError("no unit target approved by the whole coalition; not a valid grid coalition")
-
-
-def grid_popular_bruteforce(space: DeliberationSpace, expand: int = 1) -> tuple[Point, Fraction]:
-    """Popular proposal over the agents' bounding window grown by ``expand``.
-
-    A belt-and-braces oracle: the pull argument guarantees the optimum is
-    already among the unit targets.
-    """
-    xs = [a.position.data[0] for a in space.agents]
-    ys = [a.position.data[1] for a in space.agents]
-    lo_x, hi_x = min(min(xs), 0) - expand, max(max(xs), 0) + expand
-    lo_y, hi_y = min(min(ys), 0) - expand, max(max(ys), 0) + expand
-    if space.grid_nonneg:
-        lo_x, lo_y = max(lo_x, 0), max(lo_y, 0)
-    best, best_score = None, None
-    for x in range(lo_x, hi_x + 1):
-        for y in range(lo_y, hi_y + 1):
-            if (x, y) == (0, 0):
-                continue
-            s = score(space, grid_point(x, y))
-            if best is None or s > best_score:
-                best, best_score = grid_point(x, y), s
-    return best, best_score
 
 
 class _GridScheduler(Scheduler):

@@ -13,6 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .dynamics import Coalition, CoalitionStructure, validate_structure
 from .space import (
@@ -21,9 +22,11 @@ from .space import (
     Kind,
     Point,
     SpaceError,
+    _echo,
     euclidean_point,
     grid_point,
     hypercube_point,
+    rational,
 )
 
 FORMAT_VERSION = 1
@@ -63,6 +66,7 @@ def coords_document(p: Point):
 
 
 _INEXACT = {bool, float}
+_INT = {int}
 
 
 def _exact(values, convert=int) -> list:
@@ -70,25 +74,31 @@ def _exact(values, convert=int) -> list:
     floats and booleans: a float has already lost exactness, and ``int``
     would truncate either in silence.  Any other JSON value in place of the
     list is refused too, since a string would be read one character at a
-    time."""
+    time.  A list of ints is returned as it is when ``convert`` is ``int``."""
     if not isinstance(values, list):
         raise TypeError(f"expected a list, got {type(values).__name__}")
-    if not _INEXACT.isdisjoint(map(type, values)):
+    types = set(map(type, values))
+    if not _INEXACT.isdisjoint(types):
         raise TypeError("JSON floats and booleans are not exact numbers")
+    if convert is int and types <= _INT:
+        return values
     return [convert(v) for v in values]
 
 
 def _fraction_memo():
-    """``Fraction``, parsing each distinct string once: dense Euclidean
-    files repeat a few coordinate strings, "0" most of all."""
+    """:func:`rational` for one JSON number or string, parsing each distinct
+    string once (dense Euclidean files repeat a few coordinate strings, "0"
+    most of all) and refusing JSON floats and booleans as :func:`_exact` does."""
     parsed: dict[str, Fraction] = {}
 
     def fraction(value) -> Fraction:
-        if type(value) is not str:
-            return Fraction(value)
-        if value not in parsed:
-            parsed[value] = Fraction(value)
-        return parsed[value]
+        if type(value) is str:
+            if value not in parsed:
+                parsed[value] = rational(value)
+            return parsed[value]
+        if type(value) in _INEXACT:
+            raise TypeError("JSON floats and booleans are not exact numbers")
+        return Fraction(value)
 
     return fraction
 
@@ -101,7 +111,7 @@ def _point_in(kind: Kind, coords, dim: int, fraction) -> Point:
             return euclidean_point(_exact(coords, fraction))
         return grid_point(*_exact(coords))
     except (ValueError, TypeError, KeyError, IndexError, OverflowError, ZeroDivisionError) as exc:
-        raise InstanceFormatError(f"bad coordinates {coords!r}: {exc}") from exc
+        raise InstanceFormatError(f"bad coordinates {_echo(coords)}: {exc}") from exc
 
 
 def _entries(entries, key: str, required: set[str]) -> list[dict]:
@@ -152,9 +162,9 @@ def from_document(doc: dict) -> Instance:
     agents = []
     for a in _entries(agents_doc, "agents", {"coords"}):
         try:
-            weight = _exact([a.get("weight", "1")], fraction)[0]
+            weight = fraction(a.get("weight", "1"))
         except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
-            raise InstanceFormatError(f"bad weight {a.get('weight')!r}") from exc
+            raise InstanceFormatError(f"bad weight {_echo(a.get('weight'))}") from exc
         pos = _point_in(kind, a["coords"], dim, fraction)
         if pos.dim != dim:
             raise InstanceFormatError("agent dimension disagrees with the header")
@@ -183,10 +193,73 @@ def from_document(doc: dict) -> Instance:
     return Instance(space, structure, doc.get("meta"))
 
 
+def _list_text(items) -> str:
+    """A JSON list of already encoded ``items`` inside an entry: coordinates,
+    a proposal or members, all at depth 3."""
+    if not items:
+        return "[]"
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
+def _coords_text(space: DeliberationSpace):
+    """The encoder of a point's ``coords_document`` list."""
+    if space.kind is Kind.HYPERCUBE:
+        spec = f"0{space.dim}b"
+        return lambda p: _list_text(format(p.data, spec))
+    if space.kind is Kind.EUCLIDEAN:
+        zeros = ['"0"'] * space.dim
+
+        def euclidean(p: Point) -> str:
+            q, pairs = p.data
+            items = zeros.copy()
+            for i, c in pairs:
+                g = gcd(c, q)
+                items[i] = f'"{c // g}"' if g == q else f'"{c // g}/{q // g}"'
+            return _list_text(items)
+
+        return euclidean
+    return lambda p: _list_text([repr(c) for c in p.data])
+
+
+def _write_entries(fh, key: str, entries):
+    """Write ``"key": [...],`` at depth 1, each encoded entry as it comes."""
+    first = next(entries, None)
+    if first is None:
+        fh.write(f'  "{key}": [],\n')
+        return
+    fh.write(f'  "{key}": [\n    {first}')
+    fh.writelines(map(",\n    ".__add__, entries))
+    fh.write("\n  ],\n")
+
+
 def _write(inst: Instance, fh):
-    """The file format: sorted keys, two-space indent, a final newline."""
-    json.dump(to_document(inst), fh, sort_keys=True, indent=2)
-    fh.write("\n")
+    """Write the bytes of ``json.dump(to_document(inst), fh, sort_keys=True,
+    indent=2)`` and a final newline, one agent or coalition entry at a time.
+
+    ``json.dump`` encodes in pure Python whenever it indents, and the
+    document would hold every entry at once; the entries here are joined
+    from strings and written as they are made.  ``meta`` is the one free-form
+    value: ``json.dumps`` encodes it, and since JSON escapes every newline
+    inside a string, indenting its lines by two spaces places it at depth 1.
+    Rationals are "p/q" or "p" strings and tags are fixed names, so neither
+    needs escaping.
+    """
+    space = inst.space
+    coords = _coords_text(space)
+    fh.write("{\n")
+    _write_entries(fh, "agents", (
+        f'{{\n      "coords": {coords(a.position)},\n      "weight": "{a.weight!s}"\n    }}' for a in space.agents
+    ))
+    fh.write(f'  "d": {space.dim!r},\n  "kind": "{_kind_tag(space)}",\n')
+    if inst.meta:
+        fh.write('  "meta": ' + json.dumps(inst.meta, sort_keys=True, indent=2).replace("\n", "\n  ") + ",\n")
+    if inst.structure is not None:
+        _write_entries(fh, "structure", (
+            f'{{\n      "members": {_list_text([repr(m) for m in sorted(c.members)])},'
+            f'\n      "proposal": {coords(c.proposal)}\n    }}'
+            for c in inst.structure.coalitions
+        ))
+    fh.write(f'  "version": {FORMAT_VERSION}\n}}\n')
 
 
 def dumps(inst: Instance) -> str:

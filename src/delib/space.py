@@ -29,6 +29,7 @@ where the inner product runs over the agent's nonzero coordinates.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,10 +55,68 @@ class StatusQuoProposal(SpaceError):
     """The status quo itself was offered as a proposal."""
 
 
+# Python refuses to turn a string of more digits than this into an int
+# (sys.int_info.default_max_str_digits, a guard against quadratic work);
+# ``rational`` holds numerators and denominators to the same budget.
+_RATIONAL_DIGITS = 4300
+
+# The forms ``Fraction`` accepts ("p/q", or a decimal with an optional
+# exponent), with the digit runs captured; Python 3.10's Fraction takes no
+# "_" separators, and refuses them itself.
+_RATIONAL_FORM = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?P<num>\d*(?:_\d+)*)"
+    r"(?:\s*/\s*(?P<den>\d+(?:_\d+)*)|(?:\.(?P<dec>\d*(?:_\d+)*))?(?:E(?P<exp>[-+]?\d+(?:_\d+)*))?)\s*",
+    re.IGNORECASE,
+)
+
+
+def _echo(value) -> str:
+    """``repr(value)`` for an error line, cut after 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _digits(run: str | None) -> int:
+    return len(run.replace("_", "")) if run else 0
+
+
+def rational(text) -> Fraction:
+    """``Fraction(text)``, refusing a string whose numerator or denominator
+    has more than 4,300 digits with ``OverflowError``.
+
+    The digits are counted on the text, before any integer is built: a
+    decimal ``m.f`` with exponent ``e`` is the integer ``mf`` times 10 to
+    the ``e - len(f)``, so "1e4299" and "1e-4299" pass while "1e4300" and
+    "1e-4300" are refused.  The nine characters "1e-300000" would otherwise
+    build a 300,001-digit denominator for every later sum to carry.  A value
+    that is not a string goes to ``Fraction`` unchanged.
+    """
+    if type(text) is not str:
+        return Fraction(text)
+    form = _RATIONAL_FORM.fullmatch(text)
+    if form is not None:
+        num, den, dec, exp = form.group("num", "den", "dec", "exp")
+        if den is not None:
+            sizes = (_digits(num), _digits(den))
+        else:
+            exp = (exp or "0").replace("_", "")
+            # Past six digits the exponent alone is over budget either way.
+            shift = int(exp) if len(exp.lstrip("+-0")) <= 6 else (-1 if exp[0] == "-" else 1) * 10**6
+            shift -= _digits(dec)
+            sizes = (_digits(num) + _digits(dec) + max(shift, 0), 1 + max(-shift, 0))
+        if max(sizes) > _RATIONAL_DIGITS:
+            raise OverflowError(
+                f"{_echo(text)} has a numerator or denominator of more than {_RATIONAL_DIGITS} digits"
+            )
+    return Fraction(text)
+
+
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise SpaceError(f"refusing float coordinate {value!r}; use exact rationals")
-    return Fraction(value)
+    return rational(value)
 
 
 _ZERO = Fraction(0)
@@ -111,16 +170,17 @@ class Point:
         elif self.kind is Kind.EUCLIDEAN:
             object.__setattr__(self, "data", _canonical_euclidean(self.dim, self.data))
         else:
-            object.__setattr__(self, "data", tuple(self.data))
-            if self.dim != 2 or len(self.data) != 2:
+            data = tuple(self.data)
+            object.__setattr__(self, "data", data)
+            if self.dim != 2 or len(data) != 2:
                 raise SpaceError("grid points are integer pairs")
-            if not all(isinstance(c, int) for c in self.data):
+            if not (isinstance(data[0], int) and isinstance(data[1], int)):
                 raise SpaceError("grid coordinates must be integers")
 
     @classmethod
     def trusted(cls, kind: Kind, dim: int, data) -> Point:
         """A point from ``data`` already in canonical form, left unchecked:
-        for generators whose points are canonical by construction."""
+        for callers whose points are canonical by construction."""
         p = object.__new__(cls)
         object.__setattr__(p, "kind", kind)
         object.__setattr__(p, "dim", dim)
@@ -156,20 +216,27 @@ class Point:
         return "(" + ",".join(str(c) for c in self.coords()) + ")"
 
 
+_BITS = frozenset((0, 1))
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
 def hypercube_point(coords: Sequence[int] | int, dim: int | None = None) -> Point:
     """Build a hypercube point from a 0/1 coordinate sequence or a mask."""
     if isinstance(coords, int):
         if dim is None:
             raise SpaceError("mask form requires an explicit dimension")
         return Point(Kind.HYPERCUBE, dim, coords)
-    bits = list(coords)
-    if any(b not in (0, 1) for b in bits):
+    bits = coords if type(coords) is list else list(coords)
+    try:
+        binary = _BITS.issuperset(bits)
+    except TypeError:  # an unhashable coordinate is not 0 or 1 either
+        binary = False
+    if not binary:
         raise SpaceError("hypercube coordinates must be 0 or 1")
-    d = len(bits)
-    mask = 0
-    for b in bits:
-        mask = (mask << 1) | b
-    return Point(Kind.HYPERCUBE, d, mask)
+    if not bits:
+        raise SpaceError("dimension must be positive")
+    # The mask of d bits lies in [0, 2^d) by construction.
+    return Point.trusted(Kind.HYPERCUBE, len(bits), int(bytes(bits).translate(_BIT_CHARS), 2))
 
 
 def hypercube_point_from_set(members: Iterable[int], dim: int) -> Point:
@@ -234,8 +301,9 @@ class Agent:
     weight: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", _as_fraction(self.weight))
-        if self.weight <= 0:
+        if type(self.weight) is not Fraction:
+            object.__setattr__(self, "weight", _as_fraction(self.weight))
+        if self.weight.numerator <= 0:
             raise SpaceError("agent weight must be positive")
         if self.position.is_origin():
             raise SpaceError("agents at the status quo approve nothing and are rejected")

@@ -33,7 +33,7 @@ from delib.generators import (
     reduce_is_to_hyp,
     verify_exp_compromise,
 )
-from delib.grid import grid_converge, grid_popular_bruteforce
+from delib.grid import grid_converge
 from delib.solvers import (
     hyp_unanimous_proposal,
     solve_euc_cells,
@@ -233,7 +233,7 @@ def test_criterion_6_exp_compromise_and_grid_examples():
     report(6, "exp-compromise and grid witnesses", "five checks pass; grid examples exact")
 
 
-def test_criterion_7_grid_convergence():
+def test_criterion_7_grid_convergence(grid_window_popular):
     rng = random.Random(0xC7)
     for trial in range(100):
         nonneg = trial % 2 == 0
@@ -244,7 +244,7 @@ def test_criterion_7_grid_convergence():
         trace = grid_converge(space)
         assert trace.total_steps <= n, trial
         best = max(score(space, c.proposal) for c in trace.final.coalitions)
-        _, window_best = grid_popular_bruteforce(space)
+        _, window_best = grid_window_popular(space)
         assert best == window_best, trial
         if nonneg:
             assert all(s.transition.ell <= 2 for s in trace.steps), trial

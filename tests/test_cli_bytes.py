@@ -11,8 +11,13 @@ import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 
+from delib import instancefile
 from delib.cli import main
+from delib.dynamics import singleton_structure
+from delib.instancefile import Instance
+from delib.space import Agent, DeliberationSpace, Kind, euclidean_point
 
 EXPECTED = {
     "euc-slow-9.json": "81549bbeabf5c48a1e719ca3846a76f45d7340ace2dfaf84f1db954f12ad6d59",
@@ -361,3 +366,29 @@ def build_random_k_corpus(tmp) -> dict[str, bytes]:
 
 def test_random_k_outputs_are_byte_identical(tmp_path):
     assert _digests(build_random_k_corpus(tmp_path)) == EXPECTED_RANDOM_K
+
+
+# Instance files whose writer paths the corpora above miss: a stored
+# structure with Fraction-string metadata (exp-compromise d = 28), a wide
+# hypercube (hyp-slow n = 8 lives in {0,1}^16), and a weighted Euclidean file
+# with a singleton structure and metadata holding a non-ASCII string, an
+# escape and a nested list.
+EXPECTED_FILES = {
+    "exp-28.json": "d1c526f251d78dc1e7587d0921d971b447e675c35c2419608099710253266a62",
+    "hyp-slow-8.json": "c4439537fe863bc358fa88b0136d09f3bfd2c535f3dcf58aa1cbbdee7c7e8ca4",
+    "euc-weighted-9-saved.json": "0be7057ad0ff1a9844a5eb851f4e63e99b34851572dddfee555d52200af2394c",
+}
+
+
+def build_file_corpus(tmp) -> dict[str, bytes]:
+    assert main(["generate", "--family", "exp-compromise", "--d", "28", "--out", str(tmp / "exp-28.json")]) == 0
+    assert main(["generate", "--family", "hyp-slow", "--n", "8", "--out", str(tmp / "hyp-slow-8.json")]) == 0
+    agents = tuple(Agent(euclidean_point(coords), Fraction(w)) for coords, w in WEIGHTED_EUC_2)
+    space = DeliberationSpace(Kind.EUCLIDEAN, 2, agents)
+    meta = {"family": "hand-made", "note": "Zürich \"quoted\"\tand tabbed", "grid": [[1, "1/2"], [], {}], "n": 9}
+    instancefile.save(Instance(space, singleton_structure(space), meta), str(tmp / "euc-weighted-9-saved.json"))
+    return {name: (tmp / name).read_bytes() for name in EXPECTED_FILES}
+
+
+def test_instance_files_are_byte_identical(tmp_path):
+    assert _digests(build_file_corpus(tmp_path)) == EXPECTED_FILES

@@ -16,7 +16,7 @@ from delib.dynamics import (
     singleton_structure,
 )
 from delib.generators import gen_random
-from delib.grid import _GridScheduler, _pull_to_core, grid_converge, grid_popular_bruteforce, pull_toward_origin
+from delib.grid import _GridScheduler, _pull_to_core, grid_converge, pull_toward_origin
 from delib.solvers import grid_targets
 from delib.space import Agent, DeliberationSpace, Kind, approver_indices, approves, grid_point, score
 
@@ -257,9 +257,9 @@ class TestConverge:
 
 
 class TestWindowOracle:
-    def test_matches_local(self):
+    def test_matches_local(self, grid_window_popular):
         rng = random.Random(3)
         for _ in range(20):
             space = gen_random("grid", rng.randint(1, 8), 2, seed=rng.randrange(2 ** 30))
-            _, s = grid_popular_bruteforce(space)
+            _, s = grid_window_popular(space)
             assert s == local_window_popular(space)

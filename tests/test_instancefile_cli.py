@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,7 +16,7 @@ from delib.cli import main
 from delib.dynamics import Coalition, CoalitionStructure, singleton_structure
 from delib.generators import gen_euc_slow, gen_random
 from delib.instancefile import Instance, InstanceFormatError
-from delib.space import Agent, DeliberationSpace, Kind, euclidean_point
+from delib.space import Agent, DeliberationSpace, Kind, Point, euclidean_point, rational
 
 
 def _replace(doc, kind, d, agents):
@@ -137,6 +139,181 @@ class TestRoundTrip:
         doc["structure"] = [{"proposal": ["1", "0"], "members": [1]}]  # agent 0 missing
         with pytest.raises(InstanceFormatError):
             instancefile.from_document(doc)
+
+
+# ---------------------------------------------------------------------------
+# The writer against ``json.dump`` of the reference document.
+
+_weights = st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**12))
+_json_scalars = (
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+)
+_meta_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _instances(draw):
+    """Any kind, hypercubes up to d = 64 with leading-zero masks, Euclidean
+    points with negative and fractional coordinates, non-unit weights; no
+    structure, an empty one or a full one; metadata of any JSON values."""
+    kind = draw(st.sampled_from(["hypercube", "euclidean", "grid", "grid_nonneg"]))
+    if kind == "hypercube":
+        d = draw(st.integers(1, 64))
+        points = st.integers(1, 2**d - 1).map(lambda mask: Point(Kind.HYPERCUBE, d, mask))
+    elif kind == "euclidean":
+        d = draw(st.integers(1, 5))
+        points = st.lists(st.fractions(max_denominator=10**9), min_size=d, max_size=d).filter(any).map(euclidean_point)
+    else:
+        d, low = 2, 0 if kind == "grid_nonneg" else -(10**6)
+        points = st.tuples(st.integers(low, 10**6), st.integers(low, 10**6)).filter(any).map(
+            lambda xy: Point(Kind.GRID, 2, xy)
+        )
+    agents = draw(st.lists(st.builds(Agent, points, _weights | st.just(Fraction(1))), min_size=1, max_size=6))
+    space = DeliberationSpace(Kind.GRID if kind.startswith("grid") else Kind(kind), d, tuple(agents),
+                              grid_nonneg=kind == "grid_nonneg")
+    form = draw(st.sampled_from(["none", "empty", "full"]))
+    structure = None
+    if form == "empty":
+        structure = CoalitionStructure(())
+    elif form == "full":
+        labels = draw(st.lists(st.integers(0, 2), min_size=space.n, max_size=space.n))
+        structure = CoalitionStructure(tuple(
+            Coalition(frozenset(i for i, g in enumerate(labels) if g == label), draw(points))
+            for label in sorted(set(labels))
+        ))
+    meta = draw(st.none() | st.dictionaries(st.text(), _meta_values, max_size=4))
+    return Instance(space, structure, meta)
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_instances())
+    def test_bytes_are_json_dump_of_the_document(self, inst):
+        reference = json.dumps(instancefile.to_document(inst), sort_keys=True, indent=2) + "\n"
+        assert instancefile.dumps(inst) == reference
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "inst.json"
+            instancefile.save(inst, str(path))
+            assert path.read_bytes() == reference.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# The bounded rational reader.
+
+_BUDGET = 4300
+
+
+@st.composite
+def _edge_rationals(draw):
+    """``(text, fits)``: a rational string whose numerator or denominator has
+    4,299, 4,300 or 4,301 digits as written, and whether it is within the
+    4,300-digit budget.  A decimal ``w.f`` with exponent ``x`` is the integer
+    ``wf`` over 10 to the ``len(f) - x``."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    whole = draw(st.text("0123456789", min_size=1, max_size=3))
+    digits = _BUDGET + draw(st.integers(-1, 1))
+    form = draw(st.sampled_from(["numerator", "denominator", "p/q", "q/p"]))
+    if form in ("p/q", "q/p"):
+        wide = "1" + "0" * (digits - 1)
+        text = f"{sign}{wide}/7" if form == "p/q" else f"{sign}{whole}/{wide}"
+        return text, digits <= _BUDGET
+    frac = draw(st.none() | st.text("0123456789", max_size=3))
+    shift = digits - len(whole) - len(frac or "") if form == "numerator" else 1 - digits
+    exponent = shift + len(frac or "")
+    text = f"{sign}{whole}{'' if frac is None else '.' + frac}{draw(st.sampled_from('eE'))}"
+    text += draw(st.sampled_from(["{:d}", "{:+d}", "{:+08d}"])).format(exponent)
+    return text, digits <= _BUDGET
+
+
+class TestRational:
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_rationals())
+    def test_budget_edge(self, case):
+        text, fits = case
+        if fits:
+            assert rational(text) == Fraction(text)
+        else:
+            with pytest.raises(OverflowError, match="more than 4300 digits"):
+                rational(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions() | st.integers().map(str) | st.text(max_size=12))
+    def test_small_values_read_as_fraction(self, value):
+        text = str(value)
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                rational(text)
+        else:
+            assert rational(text) == expected
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_edge_rationals())
+    def test_eta_at_the_edge_exits_6_when_refused(self, tmp_path, case):
+        text, fits = case
+        path = tmp_path / "euc.json"
+        if not path.exists():
+            assert _run_captured("generate", "--family", "euc-slow", "--n", "3", "--out", path)[0] == 0
+        code, out, err = _run_captured("solve", "--space", path, f"--eta={text}")
+        if fits:
+            assert code in (0, 2) and err == ""
+        else:
+            assert (code, out, err.count("\n")) == (6, "", 1) and len(err) < 150
+
+    @pytest.mark.parametrize(
+        "damage, line",
+        [
+            (lambda doc: doc["agents"][2]["coords"].__setitem__(1, "1e-300000"),
+             "cannot load instance: bad coordinates ['-1', '1e-300000']: "
+             "'1e-300000' has a numerator or denominator of more than 4300 digits"),
+            (lambda doc: doc["agents"][0].update(weight="1E+4300"), "cannot load instance: bad weight '1E+4300'"),
+            (lambda doc: doc["agents"][0].update(weight="7" * 5000),
+             "cannot load instance: bad weight '" + "7" * 39 + "..."),
+        ],
+    )
+    def test_oversized_rationals_in_files_exit_6(self, tmp_path, capsys, damage, line):
+        # The first two loaded before, and a solve on the first ran for
+        # minutes; the third was refused with all 5,000 digits in the line.
+        doc = {"version": 1, "kind": "euclidean", "d": 2, "agents": [
+            {"coords": ["1", "0"], "weight": "1"}, {"coords": ["0", "1"], "weight": "1"},
+            {"coords": ["-1", "1"], "weight": "1"}, {"coords": ["1", "1"], "weight": "1"},
+        ]}
+        damage(doc)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run_cli("solve", "--space", str(path)) == 6
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
+    def test_oversized_eta_exits_6(self, tmp_path, capsys):
+        path = tmp_path / "euc.json"
+        assert run_cli("generate", "--family", "euc-slow", "--n", "3", "--out", str(path)) == 0
+        capsys.readouterr()
+        for eta, shown in (("1e10000000", "'1e10000000'"), ("9" * 5000, "'" + "9" * 39 + "...")):
+            assert run_cli("solve", "--space", str(path), "--eta", eta) == 6
+            assert capsys.readouterr() == (
+                "", f"error: --eta {shown} has a numerator or denominator of more than 4300 digits\n"
+            )
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        inst = tmp_path / "sat.json"
+        assert run_cli("reduce", "--from", "3sat", "--in", str(cnf), "--out", str(inst)) == 0
+        cert = json.loads(Path(f"{inst}.cert.json").read_text())
+        cert["eta"] = "1e-300000"
+        Path(f"{inst}.cert.json").write_text(json.dumps(cert))
+        capsys.readouterr()
+        assert run_cli("verify", "--what", "reduction", "--in", f"{inst}.cert.json") == 6
+        assert capsys.readouterr().err == (
+            "error: malformed certificate: OverflowError(\"'1e-300000' has a numerator or denominator "
+            "of more than 4300 digits\")\n"
+        )
 
 
 def run_cli(*argv):
